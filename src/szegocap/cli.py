@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -78,13 +79,19 @@ _GRID_DEFAULTS = {"h_x": 1.0 / 16.0, "omega_max": 8.0, "padding_m": 8.0,
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number; JSON's NaN and Infinity (and flags' nan, inf) fail."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:           # an integer too large for a float
+        return False
 
 
 def _number(doc: dict, key: str, path: str, positive: bool = False) -> float:
     v = doc[key]
     if not _is_number(v):
-        raise ConfigFieldError(f"{path}{key}", f"expected a number, got {v!r}")
+        raise ConfigFieldError(f"{path}{key}", f"expected a finite number, got {v!r}")
     if positive and not v > 0:
         raise ConfigFieldError(f"{path}{key}", f"must be positive, got {v}")
     return float(v)
@@ -93,7 +100,8 @@ def _number(doc: dict, key: str, path: str, positive: bool = False) -> float:
 def _number_list(doc: dict, key: str, path: str, positive: bool = False) -> list[float]:
     v = doc[key]
     if not isinstance(v, list) or not v or not all(_is_number(u) for u in v):
-        raise ConfigFieldError(f"{path}{key}", f"expected a non-empty number list, got {v!r}")
+        raise ConfigFieldError(f"{path}{key}",
+                               f"expected a non-empty list of finite numbers, got {v!r}")
     if positive and any(u <= 0 for u in v):
         raise ConfigFieldError(f"{path}{key}", f"entries must be positive, got {v}")
     return [float(u) for u in v]
@@ -133,7 +141,7 @@ def validate_config(doc: dict) -> RunConfig:
             raise ConfigFieldError("symbol.family", "missing or non-string family name")
         params = sym.get("params", {})
         if not isinstance(params, dict) or not all(_is_number(v) for v in params.values()):
-            raise ConfigFieldError("symbol.params", "expected a map of name -> number")
+            raise ConfigFieldError("symbol.params", "expected a map of name -> finite number")
         try:
             make_symbol(sym["family"], **params)
         except SzegocapError as exc:

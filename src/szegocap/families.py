@@ -318,9 +318,10 @@ def eval_symbol_domega(spec: SymbolSpec, x, omega):
     return fam.sigma_domega(x, omega, params)
 
 
-def sample_symbol(spec: SymbolSpec, grid) -> np.ndarray:
-    """Sample sigma on the grid's (x, omega) tensor product, shape (n_x, n_omega)."""
-    x = grid.x_points()[:, None]
+def sample_symbol(spec: SymbolSpec, grid, rows: int | None = None) -> np.ndarray:
+    """Sample sigma on the grid's (x, omega) tensor product, shape (n_x, n_omega);
+    with `rows`, only the first that many x points."""
+    x = grid.x_points()[:rows, None]
     omega = grid.omega_points()[None, :]
     return np.asarray(eval_symbol(spec, x, omega), dtype=float)
 

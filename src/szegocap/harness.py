@@ -21,9 +21,10 @@ from .families import (SymbolSpec, default_envelope, envelope_l1_norm,
                        sample_symbol)
 from .grid import (DEFAULT_H_X, DEFAULT_OMEGA_MAX, DEFAULT_PADDING, Grid,
                    make_grid)
-from .operators import SymbolFunctionSpec, hermitize, quantize
-from .spectral import eigh_matrix
-from .transforms import envelope_check, two_symbol_kernel
+from .operators import (SymbolFunctionSpec, assemble, hermitize, quantize,
+                        window_block)
+from .spectral import eigh_matrix, window_trace
+from .transforms import envelope_check, kernel_from_values, two_symbol_kernel
 from .waterfill import (QuadratureConfig, build_f_eps, rate_log,
                         sup_abs_second_derivative, waterfill_discrete,
                         waterfill_symbol)
@@ -153,10 +154,6 @@ def _grid_meta(grid: Grid, opts: GridOptions) -> dict:
             "span": grid.span}
 
 
-def _window_weights(basis: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return (np.abs(basis[mask, :]) ** 2).sum(axis=0)
-
-
 def _check_alphas(alphas) -> list[int]:
     out = []
     for a in alphas:
@@ -166,9 +163,8 @@ def _check_alphas(alphas) -> list[int]:
     return out
 
 
-def _restricted_eigvals(herm_matrix: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    block = herm_matrix[np.ix_(mask, mask)]
-    vals, _ = eigh_matrix(block, want_basis=False)
+def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    vals, _ = eigh_matrix(matrix, want_basis=False)
     return vals
 
 
@@ -204,13 +200,12 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
         try:
             grid = opts.build(alpha)
             rec.grid_meta = _grid_meta(grid, opts)
-            mask = grid.window_mask()
 
             op = quantize(spec, grid)
             rec.hermitian_defect = op.hermitian_defect
-            herm = hermitize(op).matrix
+            herm = hermitize(op)
 
-            lam_in = _restricted_eigvals(herm, mask)
+            lam_in = _eigvalsh(window_block(herm))
             sol = waterfill_discrete(lam_in, S, alpha)
             rec.capacity_discrete = sol.capacity_rate
             rec.capacity_symbol = sol_sym.capacity_rate
@@ -223,10 +218,8 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
             else:
                 f = lambda v: rate_log(B * np.asarray(v, dtype=float))
 
-            lam_full, basis = eigh_matrix(herm, want_basis=True)
-            wts = _window_weights(basis, mask)
             tr_f_plp = float(np.sum(f(lam_in)))
-            tr_f_l = float(np.sum(f(lam_full) * wts))
+            tr_f_l = window_trace(herm, f)
             tr_l_fsigma = _mapped_diag_trace(sample_symbol(spec, grid), f, grid)
 
             rec.error_total = (tr_f_plp - tr_l_fsigma) / alpha
@@ -285,13 +278,17 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
             grid = opts.build(alpha)
             rec.grid_meta = _grid_meta(grid, opts)
             mask = grid.window_mask()
-            op = quantize(spec, grid)
-            rec.hermitian_defect = op.hermitian_defect
-            herm = hermitize(op).matrix
+            rec.hermitian_defect = quantize(spec, grid).hermitian_defect
+            # The spectral interval below feeds a finite-difference sup of f''
+            # that moves by 1e-8 relative when lambda_max moves by a few ulps,
+            # so this check keeps its dense quadrature and full eigh.
+            matrix = grid.h_x * kernel_from_values(sample_symbol(spec, grid), grid)
+            herm = 0.5 * (matrix + matrix.conj().T)
+            del matrix
 
-            lam_in = _restricted_eigvals(herm, mask)
+            lam_in = _eigvalsh(herm[np.ix_(mask, mask)])
             lam_full, basis = eigh_matrix(herm, want_basis=True)
-            wts = _window_weights(basis, mask)
+            wts = (np.abs(basis[mask, :]) ** 2).sum(axis=0)
 
             tr_f_plp = float(np.sum(np.asarray(f(lam_in), dtype=float)))
             tr_f_l = float(np.sum(np.asarray(f(lam_full), dtype=float) * wts))
@@ -346,7 +343,7 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
             mask = grid.window_mask()
             op = quantize(spec, grid)
             rec.hermitian_defect = op.hermitian_defect
-            rows = op.matrix[mask, :]
+            rows = assemble(op.blocks, mask)
             hs_full_sq = float(np.sum(np.abs(rows) ** 2))
             hs_cross_sq = float(np.sum(np.abs(rows[:, ~mask]) ** 2))
             rec.hs_cross_norm = hs_cross_sq
@@ -403,8 +400,9 @@ def run_symbol_calculus_check(spec: SymbolSpec, s_values, alphas,
             for s in s_values:
                 a_exp = quantize(SymbolFunctionSpec(spec, "exp_i2pi_s", s=s), grid)
                 a_prod = quantize(SymbolFunctionSpec(spec, "product_sigma_exp", s=s), grid)
-                d = a_sigma.matrix @ a_exp.matrix - a_prod.matrix
-                cols = d[:, mask]
+                # Fourier blocks multiply and subtract like their operators
+                cols = assemble(a_sigma.blocks @ a_exp.blocks - a_prod.blocks,
+                                cols=mask)
                 if np.linalg.norm(cols) == 0.0:
                     rec.q_alpha[s] = 0.0
                 else:

@@ -1,10 +1,21 @@
-"""Dense quantized operators on a grid and their algebra.
+"""Quantized operators on a grid, held as the Fourier blocks of a block-circulant
+matrix, and their algebra.
 
-quantize() builds the Nystrom matrix h_x * k(x_i, x_j) of the operator whose
-kernel is the inverse frequency transform of a (pointwise-mapped) symbol.
+On the padded grid the Nystrom matrix h_x * k(x_i, x_j) of a symbol that is
+periodic in time (period p) is block-circulant when the frequency samples
+sit on the lattice Z / span: shifting both indices by b = p / h_x rows
+leaves it unchanged, and the shift wraps around after m = n_x / b blocks.
+A time-invariant symbol gives b = 1.  Such a matrix is stored as its m
+Fourier blocks (shape (m, b, b)): the discrete Fourier transform over the
+block index turns it into a block-diagonal matrix with these blocks, by a
+unitary change of basis.  Products, adjoints, Hermitian parts, spectra and
+operator norms therefore act block by block.  A grid without that shift
+symmetry gives m = 1, whose single block is the dense matrix itself.
+
 Symbols that tend to 1 at large frequency (complex exponentials e^{i 2 pi s
 sigma}) are quantized as identity plus the quantization of their decaying
-part, so the constant symbol maps exactly to the identity matrix.
+part, so the constant symbol maps to the identity matrix (exactly when m has
+no prime factor above 5, which covers the default grids).
 """
 
 from __future__ import annotations
@@ -13,27 +24,40 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import AliasingError, DomainError, GridMismatchError
 from .families import SymbolSpec, sample_symbol
 from .grid import Grid
-from .transforms import kernel_from_values, kernel_row_time_invariant
 
 _POINTWISE_MAPS = ("identity", "f_eps", "exp_i2pi_s", "product_sigma_exp")
+_LATTICE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Dense matrix representation of an operator on the grid."""
-    matrix: np.ndarray
+    """Operator on the grid, stored as Fourier blocks of shape (m, b, b), n_x = m * b.
+
+    Dense entries are assembled on demand: `matrix` builds the whole matrix
+    on every access, `assemble` any rows and columns of it.
+    """
+    blocks: np.ndarray
     grid: Grid
     kind: str                    # quantized | projection | composite
-    hermitian_defect: float
+    hermitian_defect: float      # exact ||(A - A*)/2||_2
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, grid: Grid, kind: str,
+                    hermitian_defect: float) -> "DiscreteOperator":
+        """Wrap a dense n x n matrix as a single (m = 1) block."""
+        return cls(np.asarray(matrix)[None], grid, kind, hermitian_defect)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.blocks.shape[0] * self.blocks.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return assemble(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -54,20 +78,76 @@ class SymbolFunctionSpec:
             raise DomainError("pointwise map 'f_eps' requires the mapped function f")
 
 
-def hermitian_defect_estimate(matrix: np.ndarray, iters: int = 25) -> float:
-    """Operator-norm estimate of (A - A*)/2 by deterministic power iteration."""
-    skew = 0.5 * (matrix - matrix.conj().T)
-    if np.linalg.norm(skew) == 0.0:
+def assemble(blocks: np.ndarray, rows=None, cols=None) -> np.ndarray:
+    """Dense entries A[rows][:, cols] of the operator with these Fourier blocks.
+
+    rows and cols are boolean masks; None selects all.  The
+    first block column C_d = (1/m) sum_k A_k e^{2 pi i d k / m} is an inverse
+    FFT over k, and A[u b + r, v b + s] = C_{(u - v) mod m}[r, s].
+    """
+    m, b, _ = blocks.shape
+    first_col = _first_block_column(blocks)
+    rows, cols = _indices(rows, m * b), _indices(cols, m * b)
+    shift = (rows[:, None] // b - cols[None, :] // b) % m
+    return first_col[shift, (rows % b)[:, None], (cols % b)[None, :]]
+
+
+def _first_block_column(blocks: np.ndarray) -> np.ndarray:
+    """C = ifft over k, taken separately of the Hermitian and skew-Hermitian
+    parts H, K of the blocks.  Their transforms obey C_{-d} = +-C_d^* exactly
+    after pairing, so the dense form of A* is exactly the conjugate transpose
+    of A's, and a Hermitian operator's dense form is exactly Hermitian."""
+    if blocks.shape[0] == 1:
+        return blocks           # a length-1 transform is the identity
+    herm = 0.5 * (blocks + _conj_t(blocks))
+    skew = 0.5 * (blocks - _conj_t(blocks))
+    return _paired_ifft(herm, 1.0) + _paired_ifft(skew, -1.0)
+
+
+def _paired_ifft(blocks: np.ndarray, sign: float) -> np.ndarray:
+    """ifft over k of blocks with A_k^* = sign A_k, made to satisfy
+    C_{-d} = sign C_d^* exactly."""
+    c = np.fft.ifft(blocks, axis=0)
+    m = c.shape[0]
+    half = np.arange(1, (m + 1) // 2)
+    c[m - half] = sign * _conj_t(c[half])
+    for d in (0, m // 2) if m % 2 == 0 else (0,):      # d = -d mod m
+        c[d] = 0.5 * (c[d] + sign * _conj_t(c[d]))
+    return c
+
+
+def _indices(mask, n: int) -> np.ndarray:
+    return np.arange(n) if mask is None else np.flatnonzero(mask)
+
+
+def _conj_t(blocks: np.ndarray) -> np.ndarray:
+    return blocks.conj().swapaxes(-1, -2)
+
+
+def skew_norm(blocks: np.ndarray) -> float:
+    """Exact ||(A - A*)/2||_2: the largest block norm of the skew part."""
+    skew = 0.5 * (blocks - _conj_t(blocks))
+    if not skew.any():
         return 0.0
-    n = skew.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n), dtype=skew.dtype)
-    for _ in range(iters):
-        u = skew.conj().T @ (skew @ v)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            return 0.0
-        v = u / nrm
-    return float(np.linalg.norm(skew @ v))
+    # i * skew is Hermitian, and its eigenvalues are +- the singular values
+    return float(np.abs(np.linalg.eigvalsh(1j * skew)).max())
+
+
+def _block_size(spec: SymbolSpec, grid: Grid) -> int:
+    """Rows per block b of the quantized symbol: the shift that leaves the
+    Nystrom matrix unchanged, or n_x when there is none (m = 1)."""
+    q = grid.omega_points() * grid.span
+    if np.abs(q - np.round(q)).max() > _LATTICE_TOL:
+        return grid.n_x
+    if spec.time_invariant:
+        return 1
+    if spec.period_x is None:
+        return grid.n_x
+    b = round(spec.period_x / grid.h_x)
+    if b < 1 or abs(b * grid.h_x - spec.period_x) > _LATTICE_TOL * spec.period_x \
+            or grid.n_x % b:
+        return grid.n_x
+    return b
 
 
 def _check_aliasing(grid: Grid) -> None:
@@ -76,9 +156,8 @@ def _check_aliasing(grid: Grid) -> None:
             f"grid too coarse: 2 * h_x * omega_max = {2 * grid.h_x * grid.omega_max:.6f} > 1")
 
 
-def _mapped_values(sfs: SymbolFunctionSpec, grid: Grid) -> tuple[np.ndarray, bool]:
-    """Sampled mapped symbol and whether an identity matrix must be added."""
-    sigma = sample_symbol(sfs.base, grid)
+def _mapped_values(sfs: SymbolFunctionSpec, sigma: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Mapped symbol samples and whether an identity matrix must be added."""
     if sfs.pointwise_map == "identity":
         return sigma, False
     if sfs.pointwise_map == "f_eps":
@@ -91,61 +170,79 @@ def _mapped_values(sfs: SymbolFunctionSpec, grid: Grid) -> tuple[np.ndarray, boo
     return sigma * phase, False
 
 
+def _fourier_blocks(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Fourier blocks A_k[r, s] = h_x m sum_{q = -k mod m} w_q V_r[q] e^{-2 pi i q (r - s) / n_x}.
+
+    values holds the mapped samples of the first b rows; q = omega * span is
+    the frequency index (an integer when m > 1; with m = 1 every frequency
+    falls in the one class and the block is the dense quadrature).
+    """
+    b = values.shape[0]
+    m = grid.n_x // b
+    omega = grid.omega_points()
+    cls = np.round(-omega * grid.span).astype(np.int64) % m
+    # row k of `index` lists the frequencies of class k; empty slots point at
+    # an appended zero column
+    counts = np.bincount(cls, minlength=m)
+    order = np.argsort(cls, kind="stable")
+    index = np.full((m, counts.max()), omega.size)
+    index[cls[order], np.arange(omega.size) - (np.cumsum(counts) - counts)[cls[order]]] = order
+
+    # phases relative to row 0, so a b = 1 block is real by construction
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(b) * grid.h_x, omega))
+    zero = np.zeros((b, 1))
+    left = np.concatenate([(values * grid.omega_weights()) * phase, zero], axis=1)
+    right = np.concatenate([phase, zero], axis=1)
+    blocks = left.T[index].swapaxes(1, 2) @ right.T[index].conj()
+    return (grid.h_x * m) * blocks
+
+
 def quantize(sfs: SymbolFunctionSpec | SymbolSpec, grid: Grid) -> DiscreteOperator:
-    """Nystrom matrix of the quantized (mapped) symbol: h_x * kernel (+ identity)."""
+    """Nystrom operator of the quantized (mapped) symbol: h_x * kernel (+ identity)."""
     if isinstance(sfs, SymbolSpec):
         sfs = SymbolFunctionSpec(base=sfs)
     _check_aliasing(grid)
-    values, add_identity = _mapped_values(sfs, grid)
-
-    x_independent = sfs.base.time_invariant
-    if x_independent:
-        row = values[0, :]
-        g = kernel_row_time_invariant(row, grid)
-        n = grid.n_x
-        col = g[n - 1:]
-        first_row = g[n - 1::-1]
-        matrix = grid.h_x * toeplitz(col, first_row)
-    else:
-        matrix = grid.h_x * kernel_from_values(values, grid)
+    b = _block_size(sfs.base, grid)
+    values, add_identity = _mapped_values(sfs, sample_symbol(sfs.base, grid, rows=b))
+    blocks = _fourier_blocks(values, grid)
     if add_identity:
-        matrix = matrix + np.eye(grid.n_x, dtype=matrix.dtype)
-
-    return DiscreteOperator(matrix=matrix, grid=grid, kind="quantized",
-                            hermitian_defect=hermitian_defect_estimate(matrix))
+        blocks += np.eye(b)
+    return DiscreteOperator(blocks=blocks, grid=grid, kind="quantized",
+                            hermitian_defect=skew_norm(blocks))
 
 
 def projection(grid: Grid) -> DiscreteOperator:
     """Diagonal 0/1 restriction onto the window [0, alpha]."""
     diag = grid.window_mask().astype(float)
-    return DiscreteOperator(matrix=np.diag(diag), grid=grid, kind="projection",
-                            hermitian_defect=0.0)
+    return DiscreteOperator.from_matrix(np.diag(diag), grid, "projection", 0.0)
 
 
 def compose(a: DiscreteOperator, b: DiscreteOperator) -> DiscreteOperator:
     if a.grid is not b.grid and a.grid != b.grid:
         raise GridMismatchError("cannot compose operators on different grids")
-    if a.matrix.shape[1] != b.matrix.shape[0]:
-        raise GridMismatchError(
-            f"dimension mismatch: {a.matrix.shape} @ {b.matrix.shape}")
-    matrix = a.matrix @ b.matrix
-    return DiscreteOperator(matrix=matrix, grid=a.grid, kind="composite",
-                            hermitian_defect=hermitian_defect_estimate(matrix))
+    if a.n != b.n:
+        raise GridMismatchError(f"dimension mismatch: {a.n} x {a.n} @ {b.n} x {b.n}")
+    # operators with different block sizes meet in the dense (m = 1) form
+    left, right = (a.blocks, b.blocks) if a.blocks.shape == b.blocks.shape \
+        else (a.matrix[None], b.matrix[None])
+    blocks = left @ right
+    return DiscreteOperator(blocks=blocks, grid=a.grid, kind="composite",
+                            hermitian_defect=skew_norm(blocks))
 
 
 def adjoint(a: DiscreteOperator) -> DiscreteOperator:
-    return DiscreteOperator(matrix=a.matrix.conj().T.copy(), grid=a.grid,
+    return DiscreteOperator(blocks=_conj_t(a.blocks).copy(), grid=a.grid,
                             kind=a.kind, hermitian_defect=a.hermitian_defect)
 
 
 def hermitize(a: DiscreteOperator) -> DiscreteOperator:
     """Hermitian part (A + A*)/2; the removed skew part is a.hermitian_defect."""
-    matrix = 0.5 * (a.matrix + a.matrix.conj().T)
-    return DiscreteOperator(matrix=matrix, grid=a.grid, kind=a.kind,
+    blocks = 0.5 * (a.blocks + _conj_t(a.blocks))
+    return DiscreteOperator(blocks=blocks, grid=a.grid, kind=a.kind,
                             hermitian_defect=0.0)
 
 
 def window_block(a: DiscreteOperator) -> np.ndarray:
     """Submatrix of rows and columns inside the window [0, alpha]."""
     mask = a.grid.window_mask()
-    return a.matrix[np.ix_(mask, mask)]
+    return assemble(a.blocks, mask, mask)

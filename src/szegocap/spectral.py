@@ -1,5 +1,6 @@
-"""Dense Hermitian eigendecomposition, Schatten norms, restricted traces,
-and spectral functional calculus."""
+"""Hermitian eigendecomposition, Schatten norms, restricted traces, and
+spectral functional calculus, on dense matrices and on the Fourier blocks of
+block-circulant operators."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, NonHermitianError, NumericalError
 from .grid import Grid
-from .operators import DiscreteOperator, hermitian_defect_estimate
+from .operators import DiscreteOperator, skew_norm
 
 HERMITIAN_DEFECT_TOL = 1e-8
 _REAL_CAST_TOL = 1e-12
@@ -46,18 +47,43 @@ def eigh_matrix(matrix: np.ndarray, want_basis: bool = True):
     return np.linalg.eigvalsh(matrix)[::-1].copy(), None
 
 
-def eigh(a: DiscreteOperator, want_basis: bool = True) -> Spectrum:
-    """Spectrum of a hermitized operator (descending eigenvalues).
-
-    Raises NonHermitianError unless the operator's hermitian defect is at most
-    HERMITIAN_DEFECT_TOL.
-    """
+def _require_hermitian(a: DiscreteOperator) -> None:
     if a.hermitian_defect > HERMITIAN_DEFECT_TOL:
         raise NonHermitianError(
             f"hermitian defect {a.hermitian_defect:.3e} exceeds {HERMITIAN_DEFECT_TOL:.1e}; "
             "hermitize the operator first")
-    vals, vecs = eigh_matrix(a.matrix, want_basis=want_basis)
+
+
+def eigh(a: DiscreteOperator, want_basis: bool = True) -> Spectrum:
+    """Spectrum of a hermitized operator (descending eigenvalues).
+
+    Without a basis the spectrum is the union of the Fourier blocks' spectra;
+    the basis is that of the dense matrix.  Raises NonHermitianError unless
+    the operator's hermitian defect is at most HERMITIAN_DEFECT_TOL.
+    """
+    _require_hermitian(a)
+    if want_basis:
+        vals, vecs = eigh_matrix(a.matrix, want_basis=True)
+    else:
+        vals = np.sort(np.linalg.eigvalsh(real_cast(a.blocks)), axis=None)[::-1].copy()
+        vecs = None
     return Spectrum(values=vals, basis=vecs, grid=a.grid)
+
+
+def window_trace(a: DiscreteOperator, f) -> float:
+    """tr_a f(A): the sum of f(A)'s diagonal over the window rows, for a
+    hermitized operator.
+
+    f(A) has the Fourier blocks U_k f(Lambda_k) U_k*, so its diagonal has
+    period b and entry (1/m) sum_k sum_j |U_k[r, j]|^2 f(lambda_kj) at rows
+    r mod b.  Only the blocks are decomposed.
+    """
+    _require_hermitian(a)
+    m, b, _ = a.blocks.shape
+    vals, vecs = np.linalg.eigh(real_cast(a.blocks))
+    rows = np.bincount(np.flatnonzero(a.grid.window_mask()) % b, minlength=b)
+    weights = np.einsum("r,krj->kj", rows, np.abs(vecs) ** 2) / m
+    return float(np.sum(np.asarray(f(vals.ravel()), dtype=float) * weights.ravel()))
 
 
 def schatten_norm(a, p: int) -> float:
@@ -84,16 +110,18 @@ def trace_restricted(a, grid: Grid | None = None) -> float:
 
 
 def apply_spectral_function(a: DiscreteOperator, f) -> DiscreteOperator:
-    """V f(Lambda) V* for a hermitized operator; f is applied to eigenvalues."""
-    spec = eigh(a, want_basis=True)
+    """V f(Lambda) V* for a hermitized operator, block by block; f is applied
+    to eigenvalues."""
+    _require_hermitian(a)
+    vals, vecs = np.linalg.eigh(real_cast(a.blocks))
     with np.errstate(all="ignore"):
-        fvals = np.asarray(f(spec.values), dtype=float)
+        fvals = np.asarray(f(vals), dtype=float)
     if not np.all(np.isfinite(fvals)):
-        bad = spec.values[~np.isfinite(fvals)]
+        bad = vals[~np.isfinite(fvals)]
         raise DomainError(f"f undefined (non-finite) at eigenvalues {bad[:5]}")
-    matrix = (spec.basis * fvals) @ spec.basis.conj().T
-    return DiscreteOperator(matrix=matrix, grid=a.grid, kind="composite",
-                            hermitian_defect=hermitian_defect_estimate(matrix))
+    blocks = (vecs * fvals[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    return DiscreteOperator(blocks=blocks, grid=a.grid, kind="composite",
+                            hermitian_defect=skew_norm(blocks))
 
 
 def clip_negative(values: np.ndarray, tol_factor: float = 1e-10) -> np.ndarray:

@@ -48,13 +48,6 @@ def two_symbol_kernel(row_values: np.ndarray, col_values: np.ndarray,
     return ((row_values * grid.omega_weights()) * phase) @ (col_values * phase.conj()).T
 
 
-def kernel_row_time_invariant(values_row: np.ndarray, grid: Grid) -> np.ndarray:
-    """Kernel profile g(z) on the lattice z = d * h_x, d = -(n_x-1) .. n_x-1."""
-    d = np.arange(-(grid.n_x - 1), grid.n_x) * grid.h_x
-    phase = np.exp(-2j * np.pi * np.outer(d, grid.omega_points()))
-    return phase @ (values_row * grid.omega_weights())
-
-
 def symbol_to_kernel(spec: SymbolSpec, grid: Grid,
                      tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Unweighted kernel matrix k(x_i, x_j) of the symbol on the grid.

@@ -162,13 +162,16 @@ def waterfill_discrete(spectrum, S: float, alpha: float) -> WaterfillSolution:
     """Water-fill a discrete spectrum against the per-unit-time budget S.
 
     Nonpositive eigenvalues never activate and are ignored; a spectrum with no
-    positive eigenvalue raises NoCapacityError.
+    positive eigenvalue raises NoCapacityError, and a non-finite eigenvalue
+    DomainError.
     """
     if S < 0:
         raise DomainError(f"power budget S must be nonnegative, got {S}")
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     values = spectrum.values if isinstance(spectrum, Spectrum) else np.asarray(spectrum, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"eigenvalues must be finite, got {values[~np.isfinite(values)][:5]}")
     pos = values[values > 0.0]
     if pos.size == 0:
         raise NoCapacityError("no positive eigenvalues to allocate power over")

@@ -116,9 +116,8 @@ def test_criterion_03_quadratic_trace_identity():
         p = sc.projection(grid)
         lam_in, _ = eigh_matrix(sc.window_block(herm), want_basis=False)
         lhs = float(np.sum(lam_in ** 2)) - sc.trace_restricted(sc.compose(herm, herm))
-        one_minus_p = sc.DiscreteOperator(
-            matrix=np.eye(grid.n_x) - p.matrix, grid=grid, kind="projection",
-            hermitian_defect=0.0)
+        one_minus_p = sc.DiscreteOperator.from_matrix(
+            np.eye(grid.n_x) - p.matrix, grid, "projection", 0.0)
         cross = sc.schatten_norm(sc.compose(sc.compose(p, herm), one_minus_p), 2) ** 2
         rel = abs(lhs + cross) / max(cross, 1e-300)
         print(f"  {spec.family_name}: tr((PLP)^2) - tr_a(L^2) = {lhs:.6e}, "

@@ -241,3 +241,35 @@ def test_csv_17_digit_roundtrip(tmp_path, capsys):
     idx = header.index("hs_cross_norm")
     for line, rec in zip(lines[1:], rep.records):
         assert float(line.split(",")[idx]) == rec.hs_cross_norm
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"command": "capacity", "symbol": {"family": "band_constant"},
+      "power_S": math.nan}, "power_S"),
+    ({"command": "sweep", "symbol": {"family": "band_constant"},
+      "grid": {"h_x": math.inf}}, "grid.h_x"),
+    ({"command": "sweep", "symbol": {"family": "band_constant"},
+      "alphas": [8, math.nan]}, "alphas"),
+    ({"command": "capacity", "symbol": {"family": "cosine_gauss",
+                                        "params": {"w": -math.inf}}}, "symbol.params"),
+    ({"command": "waterfill", "eigs": [1.0], "alpha": 10 ** 400}, "alpha"),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, doc, field):
+    # json writes NaN and Infinity, and json.loads reads them back; an integer
+    # literal too large for a float is no finite number either
+    code, out, err = run_cli(["-c", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert repr(field) in err
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["capacity", "--family", "band_constant", "--power-S", "nan"], "power_S"),
+    (["sweep", "--family", "band_constant", "--h-x", "inf"], "grid.h_x"),
+    (["sweep", "--family", "band_constant", "--alphas", "8,-inf"], "alphas"),
+    (["waterfill", "--eigs", "inf,1"], "eigs"),
+    (["waterfill", "--eigs", "nan,1,0.5"], "eigs"),
+])
+def test_non_finite_flags_exit_2(capsys, flags, field):
+    code, out, err = run_cli(flags, capsys)
+    assert code == 2
+    assert repr(field) in err

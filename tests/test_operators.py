@@ -3,12 +3,43 @@ import pytest
 
 import szegocap as sc
 from szegocap.errors import AliasingError, GridMismatchError
-from szegocap.families import default_envelope, envelope_sqrt_l1_norm
-from szegocap.operators import SymbolFunctionSpec, hermitian_defect_estimate
-from szegocap.spectral import eigh_matrix
+from szegocap.families import (default_envelope, envelope_sqrt_l1_norm,
+                               sample_symbol)
+from szegocap.operators import SymbolFunctionSpec
+from szegocap.spectral import eigh_matrix, window_trace
 from szegocap.transforms import kernel_from_values
 
 ALL_FAMILIES = ("band_constant", "cosine_gauss", "square_smooth", "two_tone")
+MAPS = ("identity", "exp_i2pi_s", "product_sigma_exp")
+S_PHASE = 0.3
+
+# grid id -> (make_grid keywords at alpha=2, block count of a 1-periodic symbol)
+ORACLE_GRIDS = {
+    "default": ({}, 18),
+    "h_x=1/8": ({"h_x": 1.0 / 8.0, "omega_max": 4.0}, 18),
+    "h_x=1/32": ({"h_x": 1.0 / 32.0}, 18),
+    "padding=2.5": ({"padding": 2.5}, 7),          # span 7: whole periods fit
+    "padding=2.25": ({"padding": 2.25}, 1),        # span 6.5: no shift symmetry
+    "h_omega=0.5/span": ({"h_omega": 0.5 / 18.0}, 1),
+}
+
+
+def _sfs(name, pointwise_map):
+    spec = sc.make_symbol(name)
+    s = None if pointwise_map == "identity" else S_PHASE
+    return SymbolFunctionSpec(spec, pointwise_map, s=s)
+
+
+def dense_quadrature(sfs, grid):
+    """Reference: the dense Nystrom matrix h_x * k(x_i, x_j) (+ identity),
+    assembled by frequency quadrature over every grid row."""
+    sigma = sample_symbol(sfs.base, grid)
+    if sfs.pointwise_map == "identity":
+        return grid.h_x * kernel_from_values(sigma, grid)
+    phase = np.exp(2j * np.pi * sfs.s * sigma)
+    if sfs.pointwise_map == "exp_i2pi_s":
+        return grid.h_x * kernel_from_values(phase - 1.0, grid) + np.eye(grid.n_x)
+    return grid.h_x * kernel_from_values(sigma * phase, grid)
 
 
 def test_quantize_band_diagonal():
@@ -84,15 +115,8 @@ def test_hermitize_fixed_point_and_defect():
 
     op = sc.quantize(sc.make_symbol("band_constant", c=1.0, W=0.25), grid)
     assert op.hermitian_defect <= 1e-10      # real symmetric Toeplitz
-    herm = sc.hermitize(sc.quantize(sc.make_symbol("cosine_gauss"), grid))
-    assert hermitian_defect_estimate(herm.matrix) <= 1e-13
-
-
-def test_hermitian_defect_estimate_matches_exact_norm():
-    grid = sc.make_grid(2)
-    op = sc.quantize(sc.make_symbol("cosine_gauss"), grid)
-    exact = np.linalg.norm(0.5 * (op.matrix - op.matrix.conj().T), 2)
-    assert op.hermitian_defect == pytest.approx(exact, rel=1e-3)
+    herm = sc.hermitize(sc.quantize(sc.make_symbol("cosine_gauss"), grid)).matrix
+    assert np.linalg.norm(0.5 * (herm - herm.conj().T), 2) <= 1e-13
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -151,3 +175,69 @@ def test_nystrom_self_convergence():
 def test_adjoint_is_conjugate_transpose():
     op = sc.quantize(sc.make_symbol("cosine_gauss"), sc.make_grid(2))
     assert np.array_equal(sc.adjoint(op).matrix, op.matrix.conj().T)
+
+
+@pytest.mark.parametrize("alpha", [2, 8])
+@pytest.mark.parametrize("pointwise_map", MAPS)
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_hermitian_defect_is_exact_operator_norm(name, pointwise_map, alpha):
+    grid = sc.make_grid(alpha)
+    sfs = _sfs(name, pointwise_map)
+    dense = dense_quadrature(sfs, grid)
+    exact = np.linalg.norm(0.5 * (dense - dense.conj().T), 2)
+    # abs floor: a real time-invariant kernel has a defect of pure roundoff
+    assert sc.quantize(sfs, grid).hermitian_defect == pytest.approx(exact, rel=1e-10,
+                                                                     abs=1e-14)
+
+
+@pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
+@pytest.mark.parametrize("pointwise_map", MAPS)
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_block_quantize_matches_dense_quadrature(name, pointwise_map, grid_id):
+    kwargs, periodic_blocks = ORACLE_GRIDS[grid_id]
+    grid = sc.make_grid(2, **kwargs)
+    sfs = _sfs(name, pointwise_map)
+    op = sc.quantize(sfs, grid)
+    lattice = grid_id != "h_omega=0.5/span"
+    expect_m = (grid.n_x if lattice else 1) if name == "band_constant" else periodic_blocks
+    assert op.blocks.shape[0] == expect_m
+    assert np.abs(op.matrix - dense_quadrature(sfs, grid)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("grid_id", ["default", "padding=2.25"])
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_block_algebra_matches_dense(name, grid_id):
+    grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
+    a_sfs, b_sfs = _sfs(name, "identity"), _sfs(name, "exp_i2pi_s")
+    a, b = sc.quantize(a_sfs, grid), sc.quantize(b_sfs, grid)
+    da, db = dense_quadrature(a_sfs, grid), dense_quadrature(b_sfs, grid)
+    mask = grid.window_mask()
+
+    assert np.abs(sc.window_block(a) - da[np.ix_(mask, mask)]).max() <= 1e-12
+    assert np.abs(sc.adjoint(b).matrix - db.conj().T).max() <= 1e-12
+    prod, dense_prod = sc.compose(a, b), da @ db
+    assert np.abs(prod.matrix - dense_prod).max() <= 1e-12
+    exact = np.linalg.norm(0.5 * (dense_prod - dense_prod.conj().T), 2)
+    assert prod.hermitian_defect == pytest.approx(exact, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("grid_id", ["default", "padding=2.5", "padding=2.25"])
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_block_window_trace_matches_dense_eigh(name, grid_id):
+    grid = sc.make_grid(4, **ORACLE_GRIDS[grid_id][0])
+    sfs = _sfs(name, "identity")
+    herm = sc.hermitize(sc.quantize(sfs, grid))
+    dense = dense_quadrature(sfs, grid)
+    lam, basis = eigh_matrix(0.5 * (dense + dense.conj().T))
+    weights = (np.abs(basis[grid.window_mask(), :]) ** 2).sum(axis=0)
+    for f in (lambda x: x ** 2, lambda x: sc.rate_log(6.0 * x)):
+        expect = float(np.sum(f(lam) * weights))
+        assert window_trace(herm, f) == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [2, 8, 32])
+def test_band_constant_defect_is_exactly_zero(alpha):
+    # one-by-one blocks of a real symbol are real by construction
+    op = sc.quantize(sc.make_symbol("band_constant", c=1.0, W=0.25), sc.make_grid(alpha))
+    assert op.blocks.shape[1:] == (1, 1)
+    assert op.hermitian_defect == 0.0

@@ -18,8 +18,7 @@ def _wrap(matrix, grid=None):
     matrix = np.asarray(matrix)
     if grid is None:
         grid = _tiny_grid(matrix.shape[0])
-    return DiscreteOperator(matrix=matrix, grid=grid, kind="composite",
-                            hermitian_defect=0.0)
+    return DiscreteOperator.from_matrix(matrix, grid, "composite", 0.0)
 
 
 def _synthetic_hermitian(n, complex_part=True):
@@ -39,8 +38,7 @@ def test_eigh_diag():
 
 def test_eigh_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    op = DiscreteOperator(matrix=m, grid=_tiny_grid(2), kind="composite",
-                          hermitian_defect=0.5)
+    op = DiscreteOperator.from_matrix(m, _tiny_grid(2), "composite", 0.5)
     with pytest.raises(NonHermitianError):
         sc.eigh(op)
 

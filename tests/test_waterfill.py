@@ -208,3 +208,12 @@ def test_f_eps_extension_insensitivity():
     f_b = sc.build_f_eps("log", 0.1, support_hi=20.0)
     xs = np.linspace(0.0, 5.0, 4001)
     assert np.abs(f_a(xs) - f_b(xs)).max() == 0.0
+
+
+@pytest.mark.parametrize("eigs", [[math.inf, 1.0], [math.nan, 1.0, 0.5],
+                                  [1.0, -math.inf]])
+def test_non_finite_eigenvalues_raise(eigs):
+    # an infinite eigenvalue once left the bisection bracket at 0 forever, and
+    # a NaN was silently dropped
+    with pytest.raises(DomainError):
+        sc.waterfill_discrete(eigs, 1.0, 1.0)
