@@ -10,21 +10,18 @@ from .errors import (AliasingError, ConfigurationError, DomainError,
                      NumericalError, SzegocapError, TruncationWarning,
                      UnsupportedSymbolError)
 from .families import (KernelEnvelope, SymbolSpec, default_envelope,
-                       eval_symbol, eval_symbol_domega, eval_symbol_dx,
-                       family_names, make_symbol, sample_symbol)
+                       eval_symbol, make_symbol, sample_symbol)
 from .grid import Grid, make_grid
-from .harness import (EpsSchedule, FitResult, GridOptions, SweepRecord,
-                      SweepReport, fit_loglog, run_convergence_sweep,
+from .harness import (EpsSchedule, FitResult, SweepRecord, SweepReport,
+                      fit_loglog, run_convergence_sweep,
                       run_hs_boundary_check, run_stability_check,
                       run_symbol_calculus_check, run_trace_norm_scaling)
 from .operators import (DiscreteOperator, SymbolFunctionSpec, adjoint, compose,
                         hermitize, projection, quantize, window_block)
-from .spectral import (Spectrum, apply_spectral_function, clip_negative, eigh,
-                       schatten_norm, trace_restricted)
-from .transforms import (EnvelopeReport, envelope_check, kernel_to_symbol,
-                         symbol_to_kernel)
-from .waterfill import (QuadratureConfig, RateFunctions, RATE_FUNCTIONS,
-                        WaterfillSolution, build_f_eps, power_gap, rate_log,
-                        smoothstep, waterfill_discrete, waterfill_symbol)
+from .spectral import Spectrum, eigh, schatten_norm, trace_restricted
+from .transforms import EnvelopeReport, envelope_check, symbol_to_kernel
+from .waterfill import (QuadratureConfig, WaterfillSolution, build_f_eps,
+                        power_gap, rate_log, smoothstep, waterfill_discrete,
+                        waterfill_symbol)
 
 __version__ = "0.1.0"

@@ -13,15 +13,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import ConfigurationError, SzegocapError
 from .families import make_symbol
-from .harness import (EpsSchedule, GridOptions, SweepReport,
-                      run_convergence_sweep, run_hs_boundary_check,
-                      run_stability_check, run_symbol_calculus_check,
-                      run_trace_norm_scaling)
-from .reports import write_report_files
+from .grid import DEFAULT_H_X, DEFAULT_OMEGA_MAX, DEFAULT_PADDING, make_grid
+from .harness import (EpsSchedule, SweepReport, run_convergence_sweep,
+                      run_hs_boundary_check, run_stability_check,
+                      run_symbol_calculus_check, run_trace_norm_scaling)
+from .operators import quantize
+from .reports import export_operator, write_report_files
 from .waterfill import (QuadratureConfig, build_f_eps, waterfill_discrete,
                         waterfill_symbol)
 
@@ -41,41 +43,51 @@ class ConfigFieldError(ConfigurationError):
         self.path = path
 
 
-@dataclass
-class RunConfig:
-    command: str
-    symbol: dict | None = None
-    power_S: float = 1.0
-    alphas: list[int] = field(default_factory=lambda: [8, 16, 32, 64])
-    alpha: float = 1.0
-    eigs: list[float] | None = None
-    s: float = 0.5
-    s_values: list[float] = field(default_factory=lambda: [0.25, 0.5, 1.0])
-    grid: dict = field(default_factory=dict)
-    eps_schedule: dict | None = None
-    output: dict | None = None
-    schema_version: int = 1
-    dump_operator: str | None = None      # flag-only debugging aid
+class _Field(NamedTuple):
+    """One numeric config field and its command-line flag."""
+    path: str          # "power_S", or "grid.h_x" for a key of the grid object
+    type: str          # float | int (truncated) | floats | ints (non-empty lists)
+    bound: str         # "", "positive" or "nonnegative"; of every entry for lists
+    default: object    # None makes the field nullable
+    flag: str
+    help: str
+
+
+_FIELDS = (
+    _Field("power_S", "float", "nonnegative", 1.0, "--power-S", "power budget per unit time"),
+    _Field("alphas", "ints", "positive", (8, 16, 32, 64), "--alphas",
+           "comma-separated window lengths"),
+    _Field("alpha", "float", "positive", 1.0, "--alpha",
+           "normalization window for the waterfill command"),
+    _Field("eigs", "floats", "", None, "--eigs",
+           "comma-separated eigenvalues for the waterfill command"),
+    _Field("s", "float", "", 0.5, "--s", "phase multiplier for check-tracenorm"),
+    _Field("s_values", "floats", "", (0.25, 0.5, 1.0), "--s-values",
+           "comma-separated s list for check-product"),
+    _Field("grid.h_x", "float", "positive", DEFAULT_H_X, "--h-x", "time spacing"),
+    _Field("grid.omega_max", "float", "positive", DEFAULT_OMEGA_MAX, "--omega-max",
+           "frequency truncation"),
+    _Field("grid.padding_m", "float", "nonnegative", DEFAULT_PADDING, "--padding-m",
+           "domain padding"),
+    _Field("grid.quad_density", "int", "positive", QuadratureConfig.density, "--quad-density",
+           "quadrature density for the symbol water-fill"),
+    _Field("grid.padding_tol", "float", "positive", 1e-8, "--padding-tol",
+           "envelope tail tolerance beyond the padding"),
+)
+
+_TOP_LEVEL = {"schema_version", "command", "symbol", "grid", "eps_schedule", "output"} \
+    | {f.path for f in _FIELDS if "." not in f.path}
+_GRID_KEYS = {f.path[len("grid."):] for f in _FIELDS if f.path.startswith("grid.")}
+
+
+class RunConfig(SimpleNamespace):
+    """A validated config: one attribute per top-level field (the grid fields in
+    the `grid` dict), plus the flag-only debugging aid `dump_operator`."""
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "symbol": self.symbol,
-            "power_S": self.power_S,
-            "alphas": list(self.alphas),
-            "alpha": self.alpha,
-            "eigs": list(self.eigs) if self.eigs is not None else None,
-            "s": self.s,
-            "s_values": list(self.s_values),
-            "grid": dict(self.grid),
-            "eps_schedule": dict(self.eps_schedule) if self.eps_schedule else None,
-            "output": dict(self.output) if self.output else None,
-        }
-
-
-_GRID_DEFAULTS = {"h_x": 1.0 / 16.0, "omega_max": 8.0, "padding_m": 8.0,
-                  "quad_density": 256, "padding_tol": 1e-8}
+        """The config echo written into every report."""
+        return {k: v.copy() if isinstance(v, (list, dict)) else v
+                for k, v in vars(self).items() if k != "dump_operator"}
 
 
 def _is_number(v) -> bool:
@@ -88,23 +100,34 @@ def _is_number(v) -> bool:
         return False
 
 
-def _number(doc: dict, key: str, path: str, positive: bool = False) -> float:
-    v = doc[key]
+def _in_bound(bound: str, v) -> bool:
+    return bound == "" or (v > 0 if bound == "positive" else v >= 0)
+
+
+def _number(path: str, v, bound: str = "") -> float:
     if not _is_number(v):
-        raise ConfigFieldError(f"{path}{key}", f"expected a finite number, got {v!r}")
-    if positive and not v > 0:
-        raise ConfigFieldError(f"{path}{key}", f"must be positive, got {v}")
+        raise ConfigFieldError(path, f"expected a finite number, got {v!r}")
+    if not _in_bound(bound, v):
+        raise ConfigFieldError(path, f"must be {bound}, got {v}")
     return float(v)
 
 
-def _number_list(doc: dict, key: str, path: str, positive: bool = False) -> list[float]:
-    v = doc[key]
-    if not isinstance(v, list) or not v or not all(_is_number(u) for u in v):
-        raise ConfigFieldError(f"{path}{key}",
-                               f"expected a non-empty list of finite numbers, got {v!r}")
-    if positive and any(u <= 0 for u in v):
-        raise ConfigFieldError(f"{path}{key}", f"entries must be positive, got {v}")
-    return [float(u) for u in v]
+def _field_value(f: _Field, v):
+    """Validate the document value v of field f and cast it to the field's type."""
+    if f.type == "float":
+        return _number(f.path, v, f.bound)
+    if f.type == "int":
+        return int(_number(f.path, v, f.bound))
+    if not isinstance(v, list) or not v or not all(map(_is_number, v)):
+        raise ConfigFieldError(f.path, f"expected a non-empty list of finite numbers, got {v!r}")
+    if f.bound and not all(_in_bound(f.bound, u) for u in v):
+        raise ConfigFieldError(f.path, f"entries must be {f.bound}, got {v}")
+    vals = list(map(float, v))
+    if f.type == "ints":
+        if any(int(u) != u for u in vals):
+            raise ConfigFieldError(f.path, f"entries must be integers, got {vals}")
+        return [int(u) for u in vals]
+    return vals
 
 
 def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
@@ -114,13 +137,21 @@ def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
         raise ConfigFieldError(f"{path}{key}", "unknown field (strict schema)")
 
 
+def _section(doc: dict, key: str, allowed: set[str], shape: str = "") -> dict | None:
+    """The object doc[key] with keys among `allowed`, or None when absent or null."""
+    sec = doc.get(key)
+    if sec is not None:
+        if not isinstance(sec, dict):
+            raise ConfigFieldError(key, f"expected an object{shape}")
+        _reject_unknown(sec, allowed, key + ".")
+    return sec
+
+
 def validate_config(doc: dict) -> RunConfig:
     """Validate a merged config document into a RunConfig (strict schema)."""
     if not isinstance(doc, dict):
         raise ConfigFieldError("", f"config document must be an object, got {type(doc).__name__}")
-    _reject_unknown(doc, {"schema_version", "command", "symbol", "power_S",
-                          "alphas", "alpha", "eigs", "s", "s_values", "grid",
-                          "eps_schedule", "output"}, "")
+    _reject_unknown(doc, _TOP_LEVEL, "")
 
     if "schema_version" in doc and doc["schema_version"] != 1:
         raise ConfigFieldError("schema_version",
@@ -130,13 +161,10 @@ def validate_config(doc: dict) -> RunConfig:
     if doc["command"] not in COMMANDS:
         raise ConfigFieldError("command",
                                f"unknown command {doc['command']!r}; known: {list(COMMANDS)}")
-    cfg = RunConfig(command=doc["command"])
+    cfg = RunConfig(schema_version=1, command=doc["command"], symbol=None)
 
-    if doc.get("symbol") is not None:
-        sym = doc["symbol"]
-        if not isinstance(sym, dict):
-            raise ConfigFieldError("symbol", "expected an object {family, params}")
-        _reject_unknown(sym, {"family", "params"}, "symbol.")
+    sym = _section(doc, "symbol", {"family", "params"}, " {family, params}")
+    if sym is not None:
         if "family" not in sym or not isinstance(sym["family"], str):
             raise ConfigFieldError("symbol.family", "missing or non-string family name")
         params = sym.get("params", {})
@@ -148,64 +176,37 @@ def validate_config(doc: dict) -> RunConfig:
             raise ConfigFieldError("symbol", str(exc)) from exc
         cfg.symbol = {"family": sym["family"], "params": {k: float(v) for k, v in params.items()}}
 
-    if "power_S" in doc:
-        v = _number(doc, "power_S", "")
-        if v < 0:
-            raise ConfigFieldError("power_S", f"must be nonnegative, got {v}")
-        cfg.power_S = v
-    if "alphas" in doc:
-        vals = _number_list(doc, "alphas", "", positive=True)
-        if any(int(v) != v for v in vals):
-            raise ConfigFieldError("alphas", f"entries must be integers, got {vals}")
-        cfg.alphas = [int(v) for v in vals]
-    if "alpha" in doc:
-        cfg.alpha = _number(doc, "alpha", "", positive=True)
-    if doc.get("eigs") is not None:
-        cfg.eigs = _number_list(doc, "eigs", "")
-    if "s" in doc:
-        cfg.s = _number(doc, "s", "")
-    if "s_values" in doc:
-        cfg.s_values = _number_list(doc, "s_values", "")
-
-    grid = dict(_GRID_DEFAULTS)
-    if doc.get("grid") is not None:
-        gdoc = doc["grid"]
-        if not isinstance(gdoc, dict):
-            raise ConfigFieldError("grid", "expected an object")
-        _reject_unknown(gdoc, set(_GRID_DEFAULTS), "grid.")
-        for key in gdoc:
-            grid[key] = _number(gdoc, key, "grid.", positive=(key != "padding_m"))
-        if grid["padding_m"] < 0:
-            raise ConfigFieldError("grid.padding_m", "must be nonnegative")
-    if 2.0 * grid["h_x"] * grid["omega_max"] > 1.0 + 1e-12:
+    gdoc = _section(doc, "grid", _GRID_KEYS)
+    for f in _FIELDS:
+        section, _, key = f.path.rpartition(".")
+        src = (gdoc or {}) if section else doc
+        if key in src and (src[key] is not None or f.default is not None):
+            value = _field_value(f, src[key])
+        else:
+            value = list(f.default) if isinstance(f.default, tuple) else f.default
+        if section:
+            vars(cfg).setdefault(section, {})[key] = value
+        else:
+            setattr(cfg, key, value)
+    if 2.0 * cfg.grid["h_x"] * cfg.grid["omega_max"] > 1.0 + 1e-12:
         raise ConfigFieldError("grid", "aliasing: 2 * h_x * omega_max must be <= 1")
-    grid["quad_density"] = int(grid["quad_density"])
-    cfg.grid = grid
 
-    if doc.get("eps_schedule") is not None:
-        es = doc["eps_schedule"]
-        if not isinstance(es, dict):
-            raise ConfigFieldError("eps_schedule", "expected an object")
-        _reject_unknown(es, {"mode", "eps", "delta"}, "eps_schedule.")
+    cfg.eps_schedule = None
+    es = _section(doc, "eps_schedule", {"mode", "eps", "delta"})
+    if es is not None:
         mode = es.get("mode")
         if mode not in ("fixed", "alpha_power"):
             raise ConfigFieldError("eps_schedule.mode",
                                    f"expected 'fixed' or 'alpha_power', got {mode!r}")
-        sched = {"mode": mode}
-        if mode == "fixed":
-            if "eps" not in es:
-                raise ConfigFieldError("eps_schedule.eps", "required for fixed mode")
-            sched["eps"] = _number(es, "eps", "eps_schedule.", positive=True)
-        else:
-            sched["delta"] = _number(es, "delta", "eps_schedule.", positive=True) \
-                if "delta" in es else 0.125
-        cfg.eps_schedule = sched
+        if mode == "fixed" and "eps" not in es:
+            raise ConfigFieldError("eps_schedule.eps", "required for fixed mode")
+        key = "eps" if mode == "fixed" else "delta"
+        cfg.eps_schedule = {"mode": mode, key: _number(f"eps_schedule.{key}",
+                                                      es.get(key, EpsSchedule.delta), "positive")}
 
-    if doc.get("output") is not None:
-        out = doc["output"]
-        if not isinstance(out, dict):
-            raise ConfigFieldError("output", "expected an object {path, format}")
-        _reject_unknown(out, {"path", "format"}, "output.")
+    cfg.output = None
+    out = _section(doc, "output", {"path", "format"}, " {path, format}")
+    if out is not None:
         if "path" not in out or not isinstance(out["path"], str):
             raise ConfigFieldError("output.path", "missing or non-string path")
         fmt = out.get("format", "json")
@@ -213,6 +214,7 @@ def validate_config(doc: dict) -> RunConfig:
             raise ConfigFieldError("output.format", f"expected 'csv' or 'json', got {fmt!r}")
         cfg.output = {"path": out["path"], "format": fmt}
 
+    cfg.dump_operator = None
     return cfg
 
 
@@ -234,19 +236,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", help="symbol family name")
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE", help="symbol parameter (repeatable)")
-    p.add_argument("--power-S", type=float, dest="power_S", help="power budget per unit time")
-    p.add_argument("--alphas", help="comma-separated window lengths")
-    p.add_argument("--alpha", type=float, help="normalization window for the waterfill command")
-    p.add_argument("--eigs", help="comma-separated eigenvalues for the waterfill command")
-    p.add_argument("--s", type=float, help="phase multiplier for check-tracenorm")
-    p.add_argument("--s-values", dest="s_values", help="comma-separated s list for check-product")
-    p.add_argument("--h-x", type=float, dest="h_x", help="time spacing")
-    p.add_argument("--omega-max", type=float, dest="omega_max", help="frequency truncation")
-    p.add_argument("--padding-m", type=float, dest="padding_m", help="domain padding")
-    p.add_argument("--quad-density", type=float, dest="quad_density",
-                   help="quadrature density for the symbol water-fill")
-    p.add_argument("--padding-tol", type=float, dest="padding_tol",
-                   help="envelope tail tolerance beyond the padding")
+    for f in _FIELDS:
+        p.add_argument(f.flag, dest=f.path.rpartition(".")[2], help=f.help,
+                       type=float if f.type in ("float", "int") else None)
     p.add_argument("--eps", type=float, help="fixed smoothing width (eps schedule)")
     p.add_argument("--delta", type=float, help="alpha^(-delta) smoothing schedule")
     p.add_argument("--output", help="report path")
@@ -257,56 +249,47 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _put(doc: dict, path: str, value) -> None:
+    """Set doc[path], where "a.b" is key b of the object doc["a"]; a section
+    that is no object is left for validation to reject."""
+    section, _, key = path.rpartition(".")
+    if not section:
+        doc[key] = value
+    elif isinstance(doc.get(section) or {}, dict):
+        doc[section] = {**(doc.get(section) or {}), key: value}
+
+
 def merge_flags(doc: dict, args: argparse.Namespace) -> dict:
     """Overlay command-line flags onto the config document (flags win)."""
     doc = json.loads(json.dumps(doc))  # deep copy, JSON types only
     if args.command:
         doc["command"] = args.command
-    if args.family or args.param:
+    if args.family:
+        _put(doc, "symbol.family", args.family)
+    if args.param:
         sym = doc.get("symbol") or {}
-        params = dict(sym.get("params") or {})
-        if args.family:
-            sym["family"] = args.family
+        params = dict(sym.get("params") or {}) if isinstance(sym, dict) else {}
         for item in args.param:
-            if "=" not in item:
+            name, eq, val = item.partition("=")
+            if not eq:
                 raise ConfigFieldError("symbol.params", f"expected NAME=VALUE, got {item!r}")
-            name, _, val = item.partition("=")
             try:
                 params[name] = float(val)
             except ValueError:
                 raise ConfigFieldError("symbol.params",
                                        f"parameter {name!r} value {val!r} is not a number") from None
-        sym["params"] = params
-        doc["symbol"] = sym
-    if args.power_S is not None:
-        doc["power_S"] = args.power_S
-    if args.alphas is not None:
-        doc["alphas"] = _parse_num_list(args.alphas)
-    if args.alpha is not None:
-        doc["alpha"] = args.alpha
-    if args.eigs is not None:
-        doc["eigs"] = _parse_num_list(args.eigs)
-    if args.s is not None:
-        doc["s"] = args.s
-    if args.s_values is not None:
-        doc["s_values"] = _parse_num_list(args.s_values)
-    grid_flags = {k: getattr(args, k) for k in
-                  ("h_x", "omega_max", "padding_m", "quad_density", "padding_tol")
-                  if getattr(args, k) is not None}
-    if grid_flags:
-        doc["grid"] = {**(doc.get("grid") or {}), **grid_flags}
+        _put(doc, "symbol.params", params)
+    for f in _FIELDS:
+        value = getattr(args, f.path.rpartition(".")[2])
+        if value is not None:
+            _put(doc, f.path, _parse_num_list(value) if f.type in ("floats", "ints") else value)
     if args.eps is not None:
         doc["eps_schedule"] = {"mode": "fixed", "eps": args.eps}
     elif args.delta is not None:
         doc["eps_schedule"] = {"mode": "alpha_power", "delta": args.delta}
-    if args.output is not None:
-        out = dict(doc.get("output") or {})
-        out["path"] = args.output
-        doc["output"] = out
-    if args.format is not None:
-        out = dict(doc.get("output") or {})
-        out["format"] = args.format
-        doc["output"] = out
+    for key, value in (("path", args.output), ("format", args.format)):
+        if value is not None:
+            _put(doc, "output." + key, value)
     return doc
 
 
@@ -339,83 +322,68 @@ def _symbol_spec(cfg: RunConfig):
     return make_symbol(cfg.symbol["family"], **cfg.symbol["params"])
 
 
-def _grid_options(cfg: RunConfig) -> GridOptions:
-    return GridOptions(h_x=cfg.grid["h_x"], omega_max=cfg.grid["omega_max"],
-                       padding=cfg.grid["padding_m"])
+def _grid_kw(cfg: RunConfig) -> dict:
+    """make_grid keywords of the config's grid section."""
+    g = cfg.grid
+    return {"h_x": g["h_x"], "omega_max": g["omega_max"], "padding": g["padding_m"]}
 
 
-def _quad(cfg: RunConfig) -> QuadratureConfig:
-    return QuadratureConfig(density=int(cfg.grid["quad_density"]),
-                            omega_max=cfg.grid["omega_max"])
+def _solution_report(command: str, sol) -> SweepReport:
+    """Print a water-fill solution and wrap it as a record-less report."""
+    count = f" active_count={sol.active_count}" if command == "waterfill" else ""
+    print(f"B={sol.B:.12g} capacity_rate={sol.capacity_rate:.12g} "
+          f"power_achieved={sol.power_achieved:.12g}{count}")
+    return SweepReport(command=command, config={}, records=[], summary={
+        "B": sol.B, "capacity_rate": sol.capacity_rate,
+        "power_achieved": sol.power_achieved, "active_count": sol.active_count})
 
 
-def _eps_schedule(cfg: RunConfig) -> EpsSchedule | None:
-    if cfg.eps_schedule is None:
-        return None
-    if cfg.eps_schedule["mode"] == "fixed":
-        return EpsSchedule(mode="fixed", eps=cfg.eps_schedule["eps"], delta=None)
-    return EpsSchedule(mode="alpha_power", eps=None, delta=cfg.eps_schedule["delta"])
+def _run_waterfill(cfg: RunConfig) -> SweepReport:
+    if not cfg.eigs:
+        raise ConfigFieldError("eigs", "waterfill needs an explicit eigenvalue list")
+    return _solution_report("waterfill", waterfill_discrete(
+        sorted(cfg.eigs, reverse=True), cfg.power_S, cfg.alpha))
 
 
-def _dispatch(cfg: RunConfig) -> SweepReport:
-    if cfg.command == "waterfill":
-        if not cfg.eigs:
-            raise ConfigFieldError("eigs", "waterfill needs an explicit eigenvalue list")
-        sol = waterfill_discrete(sorted(cfg.eigs, reverse=True), cfg.power_S, cfg.alpha)
-        print(f"B={sol.B:.12g} capacity_rate={sol.capacity_rate:.12g} "
-              f"power_achieved={sol.power_achieved:.12g} active_count={sol.active_count}")
-        report = SweepReport(command="waterfill", config={}, records=[])
-        report.summary = {"B": sol.B, "capacity_rate": sol.capacity_rate,
-                          "power_achieved": sol.power_achieved,
-                          "active_count": sol.active_count}
-        return report
-
+def _run_stability(cfg: RunConfig) -> SweepReport:
     spec = _symbol_spec(cfg)
-    if cfg.command == "capacity":
-        sol = waterfill_symbol(spec, cfg.power_S, _quad(cfg))
-        print(f"B={sol.B:.12g} capacity_rate={sol.capacity_rate:.12g} "
-              f"power_achieved={sol.power_achieved:.12g}")
-        report = SweepReport(command="capacity", config={}, records=[])
-        report.summary = {"B": sol.B, "capacity_rate": sol.capacity_rate,
-                          "power_achieved": sol.power_achieved,
-                          "active_count": sol.active_count}
-        return report
+    sched = cfg.eps_schedule or {"mode": "fixed", "eps": 0.1}
+    if sched["mode"] != "fixed":
+        raise ConfigFieldError(
+            "eps_schedule.mode",
+            "check-stability uses one fixed f_eps across the sweep; "
+            "use {'mode': 'fixed', 'eps': ...}")
+    report = run_stability_check(spec, build_f_eps("log", sched["eps"]), cfg.alphas,
+                                 _grid_kw(cfg), padding_tol=cfg.grid["padding_tol"])
+    for rec in report.records:
+        rec.eps = sched["eps"]
+    return report
 
-    opts = _grid_options(cfg)
-    if cfg.command == "sweep":
-        return run_convergence_sweep(spec, cfg.power_S, cfg.alphas,
-                                     grid_opts=opts, quad=_quad(cfg),
-                                     eps_schedule=_eps_schedule(cfg))
-    if cfg.command == "check-stability":
-        sched = _eps_schedule(cfg)
-        if sched is not None and sched.mode != "fixed":
-            raise ConfigFieldError(
-                "eps_schedule.mode",
-                "check-stability uses one fixed f_eps across the sweep; "
-                "use {'mode': 'fixed', 'eps': ...}")
-        eps = sched.eps if sched is not None else 0.1
-        f = build_f_eps("log", eps)
-        report = run_stability_check(spec, f, cfg.alphas, grid_opts=opts,
-                                     padding_tol=cfg.grid["padding_tol"])
-        for rec in report.records:
-            rec.eps = eps
-        return report
-    if cfg.command == "check-hs":
-        return run_hs_boundary_check(spec, cfg.alphas, grid_opts=opts)
-    if cfg.command == "check-product":
-        return run_symbol_calculus_check(spec, cfg.s_values, cfg.alphas, grid_opts=opts)
-    if cfg.command == "check-tracenorm":
-        return run_trace_norm_scaling(spec, cfg.s, cfg.alphas, grid_opts=opts)
-    raise ConfigFieldError("command", f"unhandled command {cfg.command!r}")
+
+# command -> runner; lambdas look runners up per call, so a patched one runs
+_RUNNERS = {
+    "waterfill": _run_waterfill,
+    "capacity": lambda cfg: _solution_report("capacity", waterfill_symbol(
+        _symbol_spec(cfg), cfg.power_S,
+        QuadratureConfig(cfg.grid["quad_density"], cfg.grid["omega_max"]))),
+    "sweep": lambda cfg: run_convergence_sweep(
+        _symbol_spec(cfg), cfg.power_S, cfg.alphas, _grid_kw(cfg),
+        QuadratureConfig(cfg.grid["quad_density"], cfg.grid["omega_max"]),
+        EpsSchedule(**cfg.eps_schedule) if cfg.eps_schedule else None),
+    "check-stability": _run_stability,
+    "check-hs": lambda cfg: run_hs_boundary_check(
+        _symbol_spec(cfg), cfg.alphas, _grid_kw(cfg)),
+    "check-product": lambda cfg: run_symbol_calculus_check(
+        _symbol_spec(cfg), cfg.s_values, cfg.alphas, _grid_kw(cfg)),
+    "check-tracenorm": lambda cfg: run_trace_norm_scaling(
+        _symbol_spec(cfg), cfg.s, cfg.alphas, _grid_kw(cfg)),
+}
 
 
 def _dump_operator(cfg: RunConfig) -> str:
     """Debug export of the quantized operator at the first alpha."""
-    from .operators import quantize
-    from .reports import export_operator
-    spec = _symbol_spec(cfg)
-    grid = _grid_options(cfg).build(cfg.alphas[0])
-    return export_operator(quantize(spec, grid), cfg.dump_operator)
+    grid = make_grid(cfg.alphas[0], **_grid_kw(cfg))
+    return export_operator(quantize(_symbol_spec(cfg), grid), cfg.dump_operator)
 
 
 def write_report(report: SweepReport, cfg: RunConfig) -> list[str]:
@@ -451,23 +419,19 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         cfg = parse_config(argv)
-    except ConfigFieldError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
     except SzegocapError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(exc if isinstance(exc, ConfigFieldError) else f"config error: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_READ
 
     try:
-        report = _dispatch(cfg)
-    except ConfigFieldError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
+        report = _RUNNERS[cfg.command](cfg)
     except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(exc if isinstance(exc, ConfigFieldError) else f"configuration error: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except SzegocapError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Registered time-varying transfer function families sigma(x, omega).
 
-Each family provides vectorized evaluation, analytic partial derivatives, and
-a kernel envelope psi with |k(x, x-z)|^2 <= psi(z) plus a tail constant c such
-that the tail integral of psi beyond s is bounded by c/s.
+Each family provides vectorized evaluation and a kernel envelope psi with
+|k(x, x-z)|^2 <= psi(z) plus a tail constant c such that the tail integral of
+psi beyond s is bounded by c/s.
 
 Families:
   band_constant      c * indicator(|omega| <= W); time-invariant.  Jump points
@@ -16,6 +16,7 @@ Families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,11 +29,10 @@ _JUMP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """A named parametric symbol with periodicity and decay metadata."""
+    """A named parametric symbol with periodicity and smoothness metadata."""
     family_name: str
     params: tuple[tuple[str, float], ...]
     period_x: float | None
-    omega_decay: str
     smoothness_order: int
     time_invariant: bool = False
 
@@ -50,14 +50,10 @@ class KernelEnvelope:
 
 @dataclass(frozen=True)
 class _Family:
-    name: str
     defaults: dict[str, float]
     validate: Callable[[dict[str, float]], None]
     sigma: Callable[..., np.ndarray]
-    sigma_dx: Callable[..., np.ndarray]
-    sigma_domega: Callable[..., np.ndarray]
     period_x: float | None
-    omega_decay: str
     smoothness_order: int
     time_invariant: bool
     psi: Callable[[dict[str, float]], Callable[[np.ndarray], np.ndarray]]
@@ -84,10 +80,6 @@ def _band_sigma(x, omega, p):
     return out.copy()
 
 
-def _band_zero(x, omega, p):
-    return np.zeros(np.broadcast_shapes(np.shape(_bx(x)), np.shape(_bx(omega))))
-
-
 def _band_psi(p):
     c, W = p["c"], p["W"]
     peak = (2.0 * W * c) ** 2
@@ -109,15 +101,6 @@ def _cg_time(x):
 
 def _cg_sigma(x, omega, p):
     return _cg_time(x) * np.exp(-_bx(omega) ** 2 / (2.0 * p["w"] ** 2))
-
-
-def _cg_dx(x, omega, p):
-    return -np.pi * np.sin(2.0 * np.pi * _bx(x)) * np.exp(-_bx(omega) ** 2 / (2.0 * p["w"] ** 2))
-
-
-def _cg_domega(x, omega, p):
-    w = p["w"]
-    return _cg_time(x) * (-_bx(omega) / w ** 2) * np.exp(-_bx(omega) ** 2 / (2.0 * w ** 2))
 
 
 def _cg_psi(p):
@@ -156,24 +139,6 @@ def _sq_sigma(x, omega, p):
     return p["c"] * _sq_time(x, p["steep"]) * _raised_cosine(omega, p["W"], p["beta"])
 
 
-def _sq_dx(x, omega, p):
-    sech2 = 1.0 / np.cosh(p["steep"] * np.sin(2.0 * np.pi * _bx(x))) ** 2
-    dt = np.pi * p["steep"] * np.cos(2.0 * np.pi * _bx(x)) * sech2
-    return p["c"] * dt * _raised_cosine(omega, p["W"], p["beta"])
-
-
-def _sq_domega(x, omega, p):
-    W, beta = p["W"], p["beta"]
-    om = _bx(omega)
-    a = np.abs(om)
-    lo = W * (1.0 - beta)
-    hi = W * (1.0 + beta)
-    d = np.zeros_like(a)
-    mid = (a > lo) & (a < hi)
-    d[mid] = -0.5 * np.pi / (2.0 * beta * W) * np.sin(np.pi * (a[mid] - lo) / (2.0 * beta * W))
-    return p["c"] * _sq_time(x, p["steep"]) * d * np.sign(om)
-
-
 def _sq_psi(p):
     c, W, beta = p["c"], p["W"], p["beta"]
 
@@ -197,17 +162,6 @@ def _tt_sigma(x, omega, p):
     return p["c"] * _tt_time(x) / (1.0 + u ** 2) ** 2
 
 
-def _tt_dx(x, omega, p):
-    u = _bx(omega) / p["gamma"]
-    return -0.8 * np.pi * np.sin(2.0 * np.pi * _bx(x)) * p["c"] / (1.0 + u ** 2) ** 2
-
-
-def _tt_domega(x, omega, p):
-    g = p["gamma"]
-    u = _bx(omega) / g
-    return _tt_time(x) * p["c"] * (-4.0 * u / g) / (1.0 + u ** 2) ** 3
-
-
 def _tt_psi(p):
     c, g = p["c"], p["gamma"]
 
@@ -221,42 +175,30 @@ def _tt_psi(p):
 
 _REGISTRY: dict[str, _Family] = {
     "band_constant": _Family(
-        name="band_constant",
         defaults={"c": 1.0, "W": 0.5},
         validate=lambda p: _require_positive(p, "c", "W"),
-        sigma=_band_sigma, sigma_dx=_band_zero, sigma_domega=_band_zero,
-        period_x=None, omega_decay="compact", smoothness_order=0,
+        sigma=_band_sigma, period_x=None, smoothness_order=0,
         time_invariant=True, psi=_band_psi,
     ),
     "cosine_gauss": _Family(
-        name="cosine_gauss",
         defaults={"w": 1.0},
         validate=lambda p: _require_positive(p, "w"),
-        sigma=_cg_sigma, sigma_dx=_cg_dx, sigma_domega=_cg_domega,
-        period_x=1.0, omega_decay="gaussian", smoothness_order=99,
+        sigma=_cg_sigma, period_x=1.0, smoothness_order=99,
         time_invariant=False, psi=_cg_psi,
     ),
     "square_smooth": _Family(
-        name="square_smooth",
         defaults={"c": 1.0, "W": 1.0, "beta": 0.5, "steep": 4.0},
         validate=_sq_validate,
-        sigma=_sq_sigma, sigma_dx=_sq_dx, sigma_domega=_sq_domega,
-        period_x=1.0, omega_decay="compact", smoothness_order=1,
+        sigma=_sq_sigma, period_x=1.0, smoothness_order=1,
         time_invariant=False, psi=_sq_psi,
     ),
     "two_tone": _Family(
-        name="two_tone",
         defaults={"c": 1.0, "gamma": 1.0},
         validate=lambda p: _require_positive(p, "c", "gamma"),
-        sigma=_tt_sigma, sigma_dx=_tt_dx, sigma_domega=_tt_domega,
-        period_x=1.0, omega_decay="power4", smoothness_order=99,
+        sigma=_tt_sigma, period_x=1.0, smoothness_order=99,
         time_invariant=False, psi=_tt_psi,
     ),
 }
-
-
-def family_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
 
 
 def _family(name: str) -> _Family:
@@ -276,23 +218,27 @@ def make_symbol(family_name: str, **params: float) -> SymbolSpec:
             raise DomainError(f"family {family_name!r} has no parameter {key!r}; "
                               f"known: {sorted(fam.defaults)}")
         merged[key] = float(val)
-    fam.validate(merged)
-    return SymbolSpec(
+    spec = SymbolSpec(
         family_name=family_name,
         params=tuple(sorted(merged.items())),
         period_x=fam.period_x,
-        omega_decay=fam.omega_decay,
         smoothness_order=fam.smoothness_order,
         time_invariant=fam.time_invariant,
     )
+    _checked(spec)
+    return spec
 
 
 def _checked(spec: SymbolSpec) -> tuple[_Family, dict[str, float]]:
+    """The spec's family and parameters, after validating the parameters."""
     fam = _family(spec.family_name)
     params = spec.param_map
     missing = set(fam.defaults) - set(params)
     if missing:
         raise DomainError(f"spec for {spec.family_name!r} missing parameters {sorted(missing)}")
+    for name, val in params.items():
+        if not math.isfinite(val):
+            raise DomainError(f"parameter {name!r} must be finite, got {val}")
     fam.validate(params)
     return fam, params
 
@@ -304,18 +250,6 @@ def eval_symbol(spec: SymbolSpec, x, omega):
     if np.ndim(x) == 0 and np.ndim(omega) == 0:
         return float(np.asarray(out).reshape(()))
     return out
-
-
-def eval_symbol_dx(spec: SymbolSpec, x, omega):
-    """Partial derivative of sigma in the time instant x."""
-    fam, params = _checked(spec)
-    return fam.sigma_dx(x, omega, params)
-
-
-def eval_symbol_domega(spec: SymbolSpec, x, omega):
-    """Partial derivative of sigma in the frequency omega."""
-    fam, params = _checked(spec)
-    return fam.sigma_domega(x, omega, params)
 
 
 def sample_symbol(spec: SymbolSpec, grid, rows: int | None = None) -> np.ndarray:
@@ -364,9 +298,3 @@ def envelope_l1_norm(env: KernelEnvelope, z_max: float = 400.0, n: int = 400001)
     z = np.linspace(0.0, z_max, n)
     vals = env.psi(z)
     return 2.0 * float(np.trapezoid(vals, z))
-
-
-def envelope_sqrt_l1_norm(env: KernelEnvelope, z_lo: float, z_hi: float, n: int = 400001) -> float:
-    """Trapezoidal L1 norm of sqrt(psi) over the truncated window [z_lo, z_hi]."""
-    z = np.linspace(z_lo, z_hi, n)
-    return float(np.trapezoid(np.sqrt(env.psi(z)), z))

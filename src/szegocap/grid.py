@@ -10,6 +10,7 @@ kernel periodization images sit at least one full span away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,14 @@ def make_grid(alpha: float,
               h_omega: float | None = None) -> Grid:
     """Build a padded grid for the window [0, alpha].
 
-    Raises DomainError when the requested geometry cannot be realized exactly
-    (non-integer cell counts) or violates the non-aliasing pairing.
+    Raises DomainError on a non-finite argument, or when the requested geometry
+    cannot be realized exactly (non-integer cell counts) or violates the
+    non-aliasing pairing.
     """
+    for name, v in (("alpha", alpha), ("h_x", h_x), ("omega_max", omega_max),
+                    ("padding", padding), ("h_omega", h_omega)):
+        if v is not None and not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if h_x <= 0 or omega_max <= 0 or padding < 0:

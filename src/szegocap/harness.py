@@ -19,8 +19,7 @@ from scipy import stats
 from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import (SymbolSpec, default_envelope, envelope_l1_norm,
                        sample_symbol)
-from .grid import (DEFAULT_H_X, DEFAULT_OMEGA_MAX, DEFAULT_PADDING, Grid,
-                   make_grid)
+from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, Grid, make_grid
 from .operators import (SymbolFunctionSpec, assemble, hermitize, quantize,
                         window_block)
 from .spectral import eigh_matrix, window_trace
@@ -28,17 +27,6 @@ from .transforms import envelope_check, kernel_from_values, two_symbol_kernel
 from .waterfill import (QuadratureConfig, build_f_eps, rate_log,
                         sup_abs_second_derivative, waterfill_discrete,
                         waterfill_symbol)
-
-
-@dataclass(frozen=True)
-class GridOptions:
-    h_x: float = DEFAULT_H_X
-    omega_max: float = DEFAULT_OMEGA_MAX
-    padding: float = DEFAULT_PADDING
-
-    def build(self, alpha: float) -> Grid:
-        return make_grid(alpha, h_x=self.h_x, omega_max=self.omega_max,
-                         padding=self.padding)
 
 
 @dataclass(frozen=True)
@@ -104,22 +92,14 @@ class SweepReport:
 
 
 def fit_loglog(xs, ys) -> FitResult | None:
-    """Least-squares fit of log(y) against log(x) with a 95% CI on the slope."""
+    """Least-squares fit of log(y) against log(x) with a 95% CI on the slope,
+    over the points with x, y > 0; None below three such points."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     keep = (xs > 0) & (ys > 0)
     if keep.sum() < 3:
         return None
-    lx, ly = np.log(xs[keep]), np.log(ys[keep])
-    res = stats.linregress(lx, ly)
-    n = int(keep.sum())
-    tcrit = float(stats.t.ppf(0.975, n - 2))
-    resid = ly - (res.intercept + res.slope * lx)
-    return FitResult(slope=float(res.slope), intercept=float(res.intercept),
-                     stderr=float(res.stderr), r2=float(res.rvalue ** 2),
-                     ci95_lo=float(res.slope - tcrit * res.stderr),
-                     ci95_hi=float(res.slope + tcrit * res.stderr),
-                     n=n, rms_resid=float(np.sqrt(np.mean(resid ** 2))))
+    return fit_affine(np.log(xs[keep]), np.log(ys[keep]))
 
 
 def fit_affine(xs, ys) -> FitResult:
@@ -138,46 +118,62 @@ def fit_affine(xs, ys) -> FitResult:
                      n=n, rms_resid=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def _add_loglog_fits(report: SweepReport, name: str, alphas, values) -> None:
-    fit = fit_loglog(alphas, values)
-    if fit is not None:
-        report.fits[name] = fit
-    if len(alphas) > 3:
-        fit_drop = fit_loglog(alphas[1:], values[1:])
-        if fit_drop is not None:
-            report.fits[name + "_drop_first"] = fit_drop
-
-
-def _grid_meta(grid: Grid, opts: GridOptions) -> dict:
-    return {"n_x": grid.n_x, "n_omega": grid.n_omega, "h_x": grid.h_x,
-            "omega_max": grid.omega_max, "padding": opts.padding,
-            "span": grid.span}
-
-
 def _check_alphas(alphas) -> list[int]:
-    out = []
-    for a in alphas:
-        if a <= 0 or int(a) != a:
-            raise DomainError(f"alphas must be positive integers, got {a}")
-        out.append(int(a))
-    return out
+    alphas = list(alphas)
+    if not alphas or not all(math.isfinite(a) and a > 0 and int(a) == a for a in alphas):
+        raise DomainError(f"alphas must be a non-empty list of positive integers, got {alphas}")
+    return [int(a) for a in alphas]
 
 
-def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    vals, _ = eigh_matrix(matrix, want_basis=False)
-    return vals
+def _trace_norm(matrix: np.ndarray) -> float:
+    """Schatten-1 norm; an exactly zero matrix skips the SVD."""
+    if np.linalg.norm(matrix) == 0.0:
+        return 0.0
+    return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
-def _mapped_diag_trace(values: np.ndarray, f, grid: Grid) -> float:
-    """Restricted trace of the quantization of f(sigma): h_x * sum over window
-    rows of the omega-quadrature of f(sigma(x_i, .))."""
-    mask = grid.window_mask()
-    mapped = np.asarray(f(values[mask, :]), dtype=float)
-    return float(grid.h_x * (mapped * grid.omega_weights()).sum())
+def _sweep(command: str, alphas, grid_kw: dict | None, measure,
+           fits: dict | None = None) -> tuple[SweepReport, list[SweepRecord]]:
+    """The per-alpha loop shared by every runner.
+
+    For each alpha, builds the grid (make_grid keywords `grid_kw`), records
+    its geometry and calls measure(grid, rec) to fill the record; a
+    SzegocapError is recorded as extra["error"] and the sweep moves on.  Then
+    fits each `fits` entry, name -> value(rec), over the good records in
+    log-log, once with all of them and once without the first
+    (name + "_drop_first").  Returns the report and the good records.
+    """
+    report = SweepReport(command=command, config={}, records=[])
+    for alpha in _check_alphas(alphas):
+        rec = SweepRecord(alpha=alpha)
+        report.records.append(rec)
+        try:
+            grid = make_grid(alpha, **(grid_kw or {}))
+            rec.grid_meta = {"n_x": grid.n_x, "n_omega": grid.n_omega, "h_x": grid.h_x,
+                             "omega_max": grid.omega_max, "padding": -grid.x_min,
+                             "span": grid.span}
+            measure(grid, rec)
+        except SzegocapError as exc:
+            rec.extra["error"] = f"{type(exc).__name__}: {exc}"
+
+    ok = [r for r in report.records if "error" not in r.extra]
+    a = [r.alpha for r in ok]
+    for name, value in (fits or {}).items():
+        v = [value(r) for r in ok]
+        for key, fit in ((name, fit_loglog(a, v)),
+                         (name + "_drop_first", fit_loglog(a[1:], v[1:]))):
+            if fit is not None:
+                report.fits[key] = fit
+    return report, ok
+
+
+def _require_periodic(spec: SymbolSpec, check: str) -> None:
+    if not spec.time_invariant and (spec.period_x is None or abs(spec.period_x - 1.0) > 1e-12):
+        raise DomainError(f"{check} needs a 1-periodic or time-invariant symbol")
 
 
 def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
-                          grid_opts: GridOptions | None = None,
+                          grid_kw: dict | None = None,
                           quad: QuadratureConfig | None = None,
                           eps_schedule: EpsSchedule | None = None) -> SweepReport:
     """Capacity of the restricted operator versus the symbol-integral formula.
@@ -186,71 +182,56 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
     and decompose the fixed-f trace error (f = rate at the continuous water
     level) into its interval-stability and symbol-calculus parts.
     """
-    alphas = _check_alphas(alphas)
-    opts = grid_opts or GridOptions()
     if quad is None:
-        quad = QuadratureConfig(omega_max=opts.omega_max)
+        quad = QuadratureConfig(omega_max=(grid_kw or {}).get("omega_max", DEFAULT_OMEGA_MAX))
     sol_sym = waterfill_symbol(spec, S, quad)
     B = sol_sym.B
 
-    report = SweepReport(command="sweep", config={}, records=[])
-    for alpha in alphas:
-        rec = SweepRecord(alpha=alpha)
-        report.records.append(rec)
-        try:
-            grid = opts.build(alpha)
-            rec.grid_meta = _grid_meta(grid, opts)
+    def measure(grid: Grid, rec: SweepRecord) -> None:
+        op = quantize(spec, grid)
+        rec.hermitian_defect = op.hermitian_defect
+        herm = hermitize(op)
 
-            op = quantize(spec, grid)
-            rec.hermitian_defect = op.hermitian_defect
-            herm = hermitize(op)
+        lam_in = eigh_matrix(window_block(herm), want_basis=False)[0]
+        sol = waterfill_discrete(lam_in, S, rec.alpha)
+        rec.capacity_discrete = sol.capacity_rate
+        rec.capacity_symbol = sol_sym.capacity_rate
 
-            lam_in = _eigvalsh(window_block(herm))
-            sol = waterfill_discrete(lam_in, S, alpha)
-            rec.capacity_discrete = sol.capacity_rate
-            rec.capacity_symbol = sol_sym.capacity_rate
+        r = rate_log
+        if eps_schedule is not None:
+            rec.eps = eps_schedule.value_for(rec.alpha)
+            r = build_f_eps("log", rec.eps)
+        f = lambda v: r(B * np.asarray(v, dtype=float))
 
-            if eps_schedule is not None:
-                eps = eps_schedule.value_for(alpha)
-                f_eps = build_f_eps("log", eps)
-                f = lambda v, _f=f_eps: _f(B * np.asarray(v, dtype=float))
-                rec.eps = eps
-            else:
-                f = lambda v: rate_log(B * np.asarray(v, dtype=float))
+        tr_f_plp = float(np.sum(f(lam_in)))
+        tr_f_l = window_trace(herm, f)
+        # tr_a of the quantized f(sigma): h_x times the omega-quadrature of
+        # f(sigma(x_i, .)) summed over the window rows
+        f_sigma = np.asarray(f(sample_symbol(spec, grid)[grid.window_mask(), :]), dtype=float)
+        tr_l_fsigma = float(grid.h_x * (f_sigma * grid.omega_weights()).sum())
 
-            tr_f_plp = float(np.sum(f(lam_in)))
-            tr_f_l = window_trace(herm, f)
-            tr_l_fsigma = _mapped_diag_trace(sample_symbol(spec, grid), f, grid)
+        rec.error_total = (tr_f_plp - tr_l_fsigma) / rec.alpha
+        rec.error_stability = (tr_f_plp - tr_f_l) / rec.alpha
+        rec.error_calculus = (tr_f_l - tr_l_fsigma) / rec.alpha
+        rec.extra.update({
+            "B_continuous": B,
+            "B_discrete": sol.B,
+            "capacity_abs_diff": abs(sol.capacity_rate - sol_sym.capacity_rate),
+            "active_count": sol.active_count,
+            "lambda_max": float(lam_in[0]),
+            "lambda_min": float(lam_in[-1]),
+        })
 
-            rec.error_total = (tr_f_plp - tr_l_fsigma) / alpha
-            rec.error_stability = (tr_f_plp - tr_f_l) / alpha
-            rec.error_calculus = (tr_f_l - tr_l_fsigma) / alpha
-            rec.extra.update({
-                "B_continuous": B,
-                "B_discrete": sol.B,
-                "capacity_abs_diff": abs(sol.capacity_rate - sol_sym.capacity_rate),
-                "active_count": sol.active_count,
-                "lambda_max": float(lam_in[0]),
-                "lambda_min": float(lam_in[-1]),
-            })
-        except SzegocapError as exc:
-            rec.extra["error"] = f"{type(exc).__name__}: {exc}"
-
-    ok = [r for r in report.records if "error" not in r.extra]
-    diffs = [r.extra["capacity_abs_diff"] for r in ok]
-    if diffs:
-        _add_loglog_fits(report, "capacity_abs_diff",
-                         [r.alpha for r in ok], diffs)
-        _add_loglog_fits(report, "error_total_abs",
-                         [r.alpha for r in ok],
-                         [abs(r.error_total) for r in ok])
+    report, _ = _sweep("sweep", alphas, grid_kw, measure, fits={
+        "capacity_abs_diff": lambda r: r.extra["capacity_abs_diff"],
+        "error_total_abs": lambda r: abs(r.error_total)})
     report.summary["capacity_symbol"] = sol_sym.capacity_rate
     report.summary["B_continuous"] = B
     return report
 
 
 def run_stability_check(spec: SymbolSpec, f, alphas,
-                        grid_opts: GridOptions | None = None,
+                        grid_kw: dict | None = None,
                         f_second_sup: float | None = None,
                         padding_tol: float = 1e-8) -> SweepReport:
     """Interval-section stability: (1/alpha) |tr_a(f(PLP) - f(L))| against the
@@ -259,103 +240,80 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
     The kernel envelope tail beyond the padding must not exceed padding_tol;
     slowly decaying families need an explicitly loosened tolerance.
     """
-    alphas = _check_alphas(alphas)
-    opts = grid_opts or GridOptions()
-
+    padding = (grid_kw or {}).get("padding", DEFAULT_PADDING)
     env = default_envelope(spec)
-    z = np.linspace(opts.padding, opts.padding + 400.0, 400001)
+    z = np.linspace(padding, padding + 400.0, 400001)
     tail = 2.0 * float(np.trapezoid(env.psi(z), z))
     if tail > padding_tol:
         raise ConfigurationError(
-            f"envelope tail beyond padding {opts.padding} is {tail:.3e} > "
+            f"envelope tail beyond padding {padding} is {tail:.3e} > "
             f"padding_tol {padding_tol:.3e}; increase padding or loosen the tolerance")
 
-    report = SweepReport(command="check-stability", config={}, records=[])
-    for alpha in alphas:
-        rec = SweepRecord(alpha=alpha)
-        report.records.append(rec)
-        try:
-            grid = opts.build(alpha)
-            rec.grid_meta = _grid_meta(grid, opts)
-            mask = grid.window_mask()
-            rec.hermitian_defect = quantize(spec, grid).hermitian_defect
-            # The spectral interval below feeds a finite-difference sup of f''
-            # that moves by 1e-8 relative when lambda_max moves by a few ulps,
-            # so this check keeps its dense quadrature and full eigh.
-            matrix = grid.h_x * kernel_from_values(sample_symbol(spec, grid), grid)
-            herm = 0.5 * (matrix + matrix.conj().T)
-            del matrix
+    def measure(grid: Grid, rec: SweepRecord) -> None:
+        mask = grid.window_mask()
+        rec.hermitian_defect = quantize(spec, grid).hermitian_defect
+        # The spectral interval below feeds a finite-difference sup of f''
+        # that moves by 1e-8 relative when lambda_max moves by a few ulps,
+        # so this check keeps its dense quadrature and full eigh.
+        matrix = grid.h_x * kernel_from_values(sample_symbol(spec, grid), grid)
+        herm = 0.5 * (matrix + matrix.conj().T)
+        del matrix
 
-            lam_in = _eigvalsh(herm[np.ix_(mask, mask)])
-            lam_full, basis = eigh_matrix(herm, want_basis=True)
-            wts = (np.abs(basis[mask, :]) ** 2).sum(axis=0)
+        lam_in = eigh_matrix(herm[np.ix_(mask, mask)], want_basis=False)[0]
+        lam_full, basis = eigh_matrix(herm, want_basis=True)
+        wts = (np.abs(basis[mask, :]) ** 2).sum(axis=0)
 
-            tr_f_plp = float(np.sum(np.asarray(f(lam_in), dtype=float)))
-            tr_f_l = float(np.sum(np.asarray(f(lam_full), dtype=float) * wts))
-            stab_signed = (tr_f_plp - tr_f_l) / alpha
-            rec.error_stability = stab_signed
+        tr_f_plp = float(np.sum(np.asarray(f(lam_in), dtype=float)))
+        tr_f_l = float(np.sum(np.asarray(f(lam_full), dtype=float) * wts))
+        stab_signed = (tr_f_plp - tr_f_l) / rec.alpha
+        rec.error_stability = stab_signed
 
-            lo = min(0.0, float(lam_full[-1]))
-            hi = max(0.0, float(lam_full[0]))
-            f2 = f_second_sup if f_second_sup is not None else \
-                sup_abs_second_derivative(f, lo, hi)
-            bound = f2 * math.log(alpha) / alpha if alpha > 1 else math.inf
-            rec.extra.update({
-                "stability_abs": abs(stab_signed),
-                "bound": bound,
-                "ratio": abs(stab_signed) / bound if bound > 0 else math.inf,
-                "f_second_sup": f2,
-                "spectral_interval": [lo, hi],
-            })
-        except SzegocapError as exc:
-            rec.extra["error"] = f"{type(exc).__name__}: {exc}"
+        lo = min(0.0, float(lam_full[-1]))
+        hi = max(0.0, float(lam_full[0]))
+        f2 = f_second_sup if f_second_sup is not None else \
+            sup_abs_second_derivative(f, lo, hi)
+        bound = f2 * math.log(rec.alpha) / rec.alpha if rec.alpha > 1 else math.inf
+        rec.extra.update({
+            "stability_abs": abs(stab_signed),
+            "bound": bound,
+            "ratio": abs(stab_signed) / bound if bound > 0 else math.inf,
+            "f_second_sup": f2,
+            "spectral_interval": [lo, hi],
+        })
 
-    ok = [r for r in report.records if "error" not in r.extra]
-    if ok:
-        _add_loglog_fits(report, "stability_ratio",
-                         [r.alpha for r in ok],
-                         [r.extra["ratio"] for r in ok])
+    report, _ = _sweep("check-stability", alphas, grid_kw, measure,
+                       fits={"stability_ratio": lambda r: r.extra["ratio"]})
     report.summary["envelope_tail_beyond_padding"] = tail
     return report
 
 
 def run_hs_boundary_check(spec: SymbolSpec, alphas,
-                          grid_opts: GridOptions | None = None) -> SweepReport:
+                          grid_kw: dict | None = None) -> SweepReport:
     """Hilbert-Schmidt growth: ||P L||_I2^2 <= alpha ||psi||_1 and the log-law
     fit of the cross term ||P L (1-P)||_I2^2."""
-    alphas = _check_alphas(alphas)
-    opts = grid_opts or GridOptions()
     env = default_envelope(spec)
-    env_report = envelope_check(spec, env, opts.build(alphas[0]))
+    env_report = envelope_check(spec, env, make_grid(_check_alphas(alphas)[0], **(grid_kw or {})))
     if not env_report.passed:
         raise ConfigurationError(
             f"default envelope fails its own check (worst margin "
             f"{env_report.worst_margin:.3e}); cannot certify HS bounds")
     psi_l1 = envelope_l1_norm(env)
 
-    report = SweepReport(command="check-hs", config={}, records=[])
-    for alpha in alphas:
-        rec = SweepRecord(alpha=alpha)
-        report.records.append(rec)
-        try:
-            grid = opts.build(alpha)
-            rec.grid_meta = _grid_meta(grid, opts)
-            mask = grid.window_mask()
-            op = quantize(spec, grid)
-            rec.hermitian_defect = op.hermitian_defect
-            rows = assemble(op.blocks, mask)
-            hs_full_sq = float(np.sum(np.abs(rows) ** 2))
-            hs_cross_sq = float(np.sum(np.abs(rows[:, ~mask]) ** 2))
-            rec.hs_cross_norm = hs_cross_sq
-            rec.extra.update({
-                "hs_full_sq": hs_full_sq,
-                "alpha_psi_l1": alpha * psi_l1,
-                "hs_bound_ok": bool(hs_full_sq <= alpha * psi_l1),
-            })
-        except SzegocapError as exc:
-            rec.extra["error"] = f"{type(exc).__name__}: {exc}"
+    def measure(grid: Grid, rec: SweepRecord) -> None:
+        mask = grid.window_mask()
+        op = quantize(spec, grid)
+        rec.hermitian_defect = op.hermitian_defect
+        rows = assemble(op.blocks, mask)
+        hs_full_sq = float(np.sum(np.abs(rows) ** 2))
+        hs_cross_sq = float(np.sum(np.abs(rows[:, ~mask]) ** 2))
+        rec.hs_cross_norm = hs_cross_sq
+        rec.extra.update({
+            "hs_full_sq": hs_full_sq,
+            "alpha_psi_l1": rec.alpha * psi_l1,
+            "hs_bound_ok": bool(hs_full_sq <= rec.alpha * psi_l1),
+        })
 
-    ok = [r for r in report.records if "error" not in r.extra]
+    report, ok = _sweep("check-hs", alphas, grid_kw, measure)
     if len(ok) >= 3:
         a = np.array([r.alpha for r in ok], dtype=float)
         y = np.array([r.hs_cross_norm for r in ok])
@@ -366,115 +324,73 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
         report.summary["resid_ratio_linear_over_log"] = (
             lin_fit.rms_resid / log_fit.rms_resid if log_fit.rms_resid > 0 else math.inf)
     report.summary["psi_l1"] = psi_l1
-    report.summary["hs_bound_ok_all"] = all(
-        r.extra.get("hs_bound_ok", False) for r in ok) if ok else False
+    report.summary["hs_bound_ok_all"] = bool(ok) and all(r.extra["hs_bound_ok"] for r in ok)
     return report
 
 
 def run_symbol_calculus_check(spec: SymbolSpec, s_values, alphas,
-                              grid_opts: GridOptions | None = None) -> SweepReport:
+                              grid_kw: dict | None = None) -> SweepReport:
     """Trace-norm deviation between operator composition and symbol product:
     Q_alpha(s) = || (L_sigma L_{e(s sigma)} - L_{sigma e(s sigma)}) P ||_I1."""
-    alphas = _check_alphas(alphas)
-    opts = grid_opts or GridOptions()
-    if not spec.time_invariant:
-        if spec.period_x is None or abs(spec.period_x - 1.0) > 1e-12:
-            raise DomainError("symbol-calculus check needs a 1-periodic or "
-                              "time-invariant symbol")
+    _require_periodic(spec, "symbol-calculus check")
     if spec.smoothness_order < 3:
         raise DomainError(
             f"symbol-calculus check needs a C^3 family; {spec.family_name!r} "
             f"has smoothness order {spec.smoothness_order}")
     s_values = [float(s) for s in s_values]
 
-    report = SweepReport(command="check-product", config={}, records=[])
-    for alpha in alphas:
-        rec = SweepRecord(alpha=alpha)
-        report.records.append(rec)
-        try:
-            grid = opts.build(alpha)
-            rec.grid_meta = _grid_meta(grid, opts)
-            mask = grid.window_mask()
-            a_sigma = quantize(spec, grid)
-            rec.hermitian_defect = a_sigma.hermitian_defect
-            for s in s_values:
-                a_exp = quantize(SymbolFunctionSpec(spec, "exp_i2pi_s", s=s), grid)
-                a_prod = quantize(SymbolFunctionSpec(spec, "product_sigma_exp", s=s), grid)
-                # Fourier blocks multiply and subtract like their operators
-                cols = assemble(a_sigma.blocks @ a_exp.blocks - a_prod.blocks,
-                                cols=mask)
-                if np.linalg.norm(cols) == 0.0:
-                    rec.q_alpha[s] = 0.0
-                else:
-                    rec.q_alpha[s] = float(np.linalg.svd(cols, compute_uv=False).sum())
-        except SzegocapError as exc:
-            rec.extra["error"] = f"{type(exc).__name__}: {exc}"
+    def measure(grid: Grid, rec: SweepRecord) -> None:
+        mask = grid.window_mask()
+        a_sigma = quantize(spec, grid)
+        rec.hermitian_defect = a_sigma.hermitian_defect
+        for s in s_values:
+            a_exp = quantize(SymbolFunctionSpec(spec, "exp_i2pi_s", s=s), grid)
+            a_prod = quantize(SymbolFunctionSpec(spec, "product_sigma_exp", s=s), grid)
+            # Fourier blocks multiply and subtract like their operators
+            rec.q_alpha[s] = _trace_norm(
+                assemble(a_sigma.blocks @ a_exp.blocks - a_prod.blocks, cols=mask))
 
-    ok = [r for r in report.records if "error" not in r.extra]
-    for s in s_values:
-        qs = [r.q_alpha.get(s) for r in ok]
-        if all(q is not None for q in qs) and qs:
-            _add_loglog_fits(report, f"q_s{s:g}", [r.alpha for r in ok], qs)
+    report, _ = _sweep("check-product", alphas, grid_kw, measure, fits={
+        f"q_s{s:g}": lambda r, s=s: r.q_alpha[s] for s in s_values})
     return report
 
 
 def run_trace_norm_scaling(spec: SymbolSpec, s: float, alphas,
-                           grid_opts: GridOptions | None = None) -> SweepReport:
+                           grid_kw: dict | None = None) -> SweepReport:
     """Schatten norms of the quantization-order differences T and T'.
 
     T = L*_{conj tau} - L_tau and T' = L_sigma L*_{conj tau} - L_{sigma tau}
     with tau = e^{i 2 pi s sigma}, assembled directly from their kernels
     (frequency quadrature of tau(y, .) - tau(x, .) phase integrals).
     """
-    alphas = _check_alphas(alphas)
-    opts = grid_opts or GridOptions()
-    if not spec.time_invariant:
-        if spec.period_x is None or abs(spec.period_x - 1.0) > 1e-12:
-            raise DomainError("trace-norm scaling needs a 1-periodic or "
-                              "time-invariant symbol")
+    _require_periodic(spec, "trace-norm scaling")
     s = float(s)
 
-    report = SweepReport(command="check-tracenorm", config={}, records=[])
-    for alpha in alphas:
-        rec = SweepRecord(alpha=alpha)
-        report.records.append(rec)
-        try:
-            grid = opts.build(alpha)
-            rec.grid_meta = _grid_meta(grid, opts)
-            mask = grid.window_mask()
-            sigma = sample_symbol(spec, grid)
-            if spec.time_invariant:
-                # the integrand tau(y, .) - tau(x, .) vanishes identically
-                t_mat = np.zeros((grid.n_x, grid.n_x))
-                tp_mat = t_mat
-            else:
-                tau = np.exp(2j * np.pi * s * sigma)
-                ones = np.ones_like(sigma)
-                # t(x, y)  = int e^{-i2pi w (x-y)} (tau(y, w) - tau(x, w)) dw
-                # t'(x, y) = int e^{-i2pi w (x-y)} sigma(x, w) (tau(y, w) - tau(x, w)) dw
-                t_mat = grid.h_x * (two_symbol_kernel(ones, tau, grid)
-                                    - two_symbol_kernel(tau, ones, grid))
-                tp_mat = grid.h_x * (two_symbol_kernel(sigma, tau, grid)
-                                     - two_symbol_kernel(sigma * tau, ones, grid))
+    def measure(grid: Grid, rec: SweepRecord) -> None:
+        mask = grid.window_mask()
+        sigma = sample_symbol(spec, grid)
+        if spec.time_invariant:
+            # the integrand tau(y, .) - tau(x, .) vanishes identically
+            t_mat = np.zeros((grid.n_x, grid.n_x))
+            tp_mat = t_mat
+        else:
+            tau = np.exp(2j * np.pi * s * sigma)
+            ones = np.ones_like(sigma)
+            # t(x, y)  = int e^{-i2pi w (x-y)} (tau(y, w) - tau(x, w)) dw
+            # t'(x, y) = int e^{-i2pi w (x-y)} sigma(x, w) (tau(y, w) - tau(x, w)) dw
+            t_mat = grid.h_x * (two_symbol_kernel(ones, tau, grid)
+                                - two_symbol_kernel(tau, ones, grid))
+            tp_mat = grid.h_x * (two_symbol_kernel(sigma, tau, grid)
+                                 - two_symbol_kernel(sigma * tau, ones, grid))
 
-            for name, m in (("tp", t_mat), ("tp_prime", tp_mat)):
-                cols = m[:, mask]
-                i2 = float(np.linalg.norm(cols))
-                i1 = 0.0 if i2 == 0.0 else float(
-                    np.linalg.svd(cols, compute_uv=False).sum())
-                if name == "tp":
-                    rec.tp_i1, rec.tp_i2 = i1, i2
-                else:
-                    rec.extra["tp_prime_i1"] = i1
-                    rec.extra["tp_prime_i2"] = i2
-        except SzegocapError as exc:
-            rec.extra["error"] = f"{type(exc).__name__}: {exc}"
+        t_cols, tp_cols = t_mat[:, mask], tp_mat[:, mask]
+        rec.tp_i1, rec.tp_i2 = _trace_norm(t_cols), float(np.linalg.norm(t_cols))
+        rec.extra["tp_prime_i1"] = _trace_norm(tp_cols)
+        rec.extra["tp_prime_i2"] = float(np.linalg.norm(tp_cols))
 
-    ok = [r for r in report.records if "error" not in r.extra]
-    if ok:
-        a = [r.alpha for r in ok]
-        _add_loglog_fits(report, "tp_i1", a, [r.tp_i1 for r in ok])
-        _add_loglog_fits(report, "tp_i2", a, [r.tp_i2 for r in ok])
-        _add_loglog_fits(report, "tp_prime_i1", a, [r.extra["tp_prime_i1"] for r in ok])
-        _add_loglog_fits(report, "tp_prime_i2", a, [r.extra["tp_prime_i2"] for r in ok])
+    report, _ = _sweep("check-tracenorm", alphas, grid_kw, measure, fits={
+        "tp_i1": lambda r: r.tp_i1,
+        "tp_i2": lambda r: r.tp_i2,
+        "tp_prime_i1": lambda r: r.extra["tp_prime_i1"],
+        "tp_prime_i2": lambda r: r.extra["tp_prime_i2"]})
     return report

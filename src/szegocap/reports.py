@@ -11,7 +11,7 @@ import dataclasses
 import json
 from typing import Any
 
-from .harness import FitResult, SweepRecord, SweepReport
+from .harness import SweepRecord, SweepReport
 
 CSV_COLUMNS = (
     "alpha",
@@ -36,9 +36,7 @@ _Q_COLUMNS = {"q_alpha_s0.25": 0.25, "q_alpha_s0.5": 0.5, "q_alpha_s1.0": 1.0}
 def fmt17(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, int):          # bool included
         return str(value)
     return format(float(value), ".17g")
 
@@ -59,10 +57,6 @@ def report_csv(report: SweepReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fit_dict(fit: FitResult) -> dict:
-    return dataclasses.asdict(fit)
-
-
 def report_dict(report: SweepReport) -> dict:
     """Full nested report: config echo, per-alpha records, fit results."""
     records = []
@@ -75,7 +69,7 @@ def report_dict(report: SweepReport) -> dict:
         "command": report.command,
         "config": report.config,
         "records": records,
-        "fits": {name: _fit_dict(fit) for name, fit in report.fits.items()},
+        "fits": {name: dataclasses.asdict(fit) for name, fit in report.fits.items()},
         "summary": report.summary,
     }
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonHermitianError, NumericalError
+from .errors import DomainError, NonHermitianError
 from .grid import Grid
-from .operators import DiscreteOperator, skew_norm
+from .operators import DiscreteOperator
 
 HERMITIAN_DEFECT_TOL = 1e-8
 _REAL_CAST_TOL = 1e-12
@@ -108,35 +108,3 @@ def trace_restricted(a, grid: Grid | None = None) -> float:
         warnings.warn(f"restricted trace has imaginary residue {total.imag:.3e}")
     return float(total.real)
 
-
-def apply_spectral_function(a: DiscreteOperator, f) -> DiscreteOperator:
-    """V f(Lambda) V* for a hermitized operator, block by block; f is applied
-    to eigenvalues."""
-    _require_hermitian(a)
-    vals, vecs = np.linalg.eigh(real_cast(a.blocks))
-    with np.errstate(all="ignore"):
-        fvals = np.asarray(f(vals), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        bad = vals[~np.isfinite(fvals)]
-        raise DomainError(f"f undefined (non-finite) at eigenvalues {bad[:5]}")
-    blocks = (vecs * fvals[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    return DiscreteOperator(blocks=blocks, grid=a.grid, kind="composite",
-                            hermitian_defect=skew_norm(blocks))
-
-
-def clip_negative(values: np.ndarray, tol_factor: float = 1e-10) -> np.ndarray:
-    """Clip eigenvalues in [-tol, 0) to zero, tol = tol_factor * max |value|.
-
-    More negative values violate the positive-operator contract and raise
-    NumericalError.  Use this for spectra of operators that are positive in
-    the continuum limit (e.g. time-invariant correlation operators).
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return values.copy()
-    tol = tol_factor * float(np.abs(values).max())
-    if np.any(values < -tol):
-        worst = float(values.min())
-        raise NumericalError(
-            f"eigenvalue {worst:.6e} below clipping tolerance -{tol:.3e}")
-    return np.maximum(values, 0.0)

@@ -2,15 +2,14 @@
 
 Sign convention, fixed package-wide: symbol -> kernel integrates
 e^{-i 2 pi omega z} sigma(x, omega) d omega at z = x - y; kernel -> symbol
-applies the inverse phase e^{+i 2 pi omega z}.  Composition and round-trip
-tests rely on this pairing.
+(a test oracle) applies the inverse phase e^{+i 2 pi omega z}.  Composition and
+round-trip tests rely on this pairing.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,37 +60,6 @@ def symbol_to_kernel(spec: SymbolSpec, grid: Grid,
             f"symbol mass {edge:.3e} above tail_tol {tail_tol:.1e} at omega = "
             f"+-{grid.omega_max}; frequency truncation may bias the kernel"))
     return kernel_from_values(values, grid)
-
-
-class SymbolRecovery(NamedTuple):
-    sigma: np.ndarray
-    max_imag: float
-
-
-def kernel_to_symbol(kernel: np.ndarray, grid: Grid,
-                     tail_tol: float = DEFAULT_TAIL_TOL) -> SymbolRecovery:
-    """Recover sigma(x_i, omega_m) from an unweighted kernel matrix.
-
-    Row-wise forward transform in z = x - y with weight h_x.  The imaginary
-    residue is returned as a diagnostic; rows that have not decayed below
-    tail_tol at the domain edge trigger a TruncationWarning.
-    """
-    kernel = np.asarray(kernel)
-    if kernel.shape != (grid.n_x, grid.n_x):
-        raise ValueError(f"kernel shape {kernel.shape} does not match grid n_x {grid.n_x}")
-    # the discrete kernel is span-periodic in z = x - y, so rows "end" at |z| = span/2
-    x = grid.x_points()
-    z = np.abs(x[:, None] - x[None, :])
-    edge_band = z >= grid.span / 2.0 - grid.h_x
-    edge = float(np.abs(kernel[edge_band]).max()) if np.any(edge_band) else 0.0
-    if edge > tail_tol:
-        warnings.warn(TruncationWarning(
-            f"kernel rows reach {edge:.3e} > tail_tol {tail_tol:.1e} at |z| ~ span/2; "
-            "z-truncation may bias the recovered symbol"))
-    phase = _phase_matrix(grid)
-    # C[i, m] = h_x * sum_j k[i, j] e^{+i 2 pi omega_m (x_i - x_j)}
-    C = grid.h_x * (kernel @ phase) * phase.conj()
-    return SymbolRecovery(sigma=C.real.copy(), max_imag=float(np.abs(C.imag).max()))
 
 
 @dataclass

@@ -99,16 +99,6 @@ def build_f_eps(h, eps: float, support_hi: float = 16.0,
 
 
 @dataclass(frozen=True)
-class RateFunctions:
-    r: Callable[[np.ndarray], np.ndarray]
-    p: Callable[[np.ndarray], np.ndarray]
-    f_eps: Callable[..., Callable[[np.ndarray], np.ndarray]]
-
-
-RATE_FUNCTIONS = RateFunctions(r=rate_log, p=power_gap, f_eps=build_f_eps)
-
-
-@dataclass(frozen=True)
 class WaterfillSolution:
     B: float
     capacity_rate: float

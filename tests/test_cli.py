@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from szegocap import cli
 from szegocap.cli import ConfigFieldError, main, validate_config
 
 
@@ -190,19 +191,68 @@ def test_check_stability_via_cli(tmp_path, capsys):
     assert all(r["eps"] == 0.1 for r in report["records"])
 
 
-def test_csv_determinism_byte_identical(tmp_path, capsys):
-    paths = []
-    for name in ("a.csv", "b.csv"):
-        out_path = tmp_path / name
-        cfg = write_config(tmp_path, {
-            "command": "check-hs",
-            "symbol": {"family": "band_constant", "params": {"c": 1.0, "W": 0.25}},
-            "alphas": [2, 4],
-            "output": {"path": str(out_path), "format": "csv"}}, name + ".json")
+COSINE = {"family": "cosine_gauss"}
+COMMAND_DOCS = {
+    "capacity": {"symbol": COSINE},
+    "waterfill": {"eigs": [4, 1], "power_S": 0.5},
+    "sweep": {"symbol": COSINE, "eps_schedule": {"mode": "alpha_power"}},
+    "check-stability": {"symbol": COSINE},
+    "check-hs": {"symbol": {"family": "band_constant", "params": {"c": 1.0, "W": 0.25}}},
+    "check-product": {"symbol": COSINE},
+    "check-tracenorm": {"symbol": COSINE},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", COMMAND_DOCS)
+def test_csv_determinism_byte_identical(tmp_path, capsys, command, fmt):
+    out_path = tmp_path / f"report.{fmt}"
+    cfg = write_config(tmp_path, {
+        "command": command, "alphas": [2, 4], **COMMAND_DOCS[command],
+        "output": {"path": str(out_path), "format": fmt}})
+    reports = []
+    for _ in range(2):
         code, out, err = run_cli(["-c", cfg], capsys)
         assert code == 0, err
-        paths.append(out_path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+        reports.append(out_path.read_bytes())
+        out_path.unlink()
+    assert reports[0] == reports[1]
+
+
+def test_minimal_config_echo_is_pinned():
+    echo = validate_config({"command": "sweep"}).as_dict()
+    assert json.dumps(echo, sort_keys=True) == json.dumps({
+        "schema_version": 1, "command": "sweep", "symbol": None, "power_S": 1.0,
+        "alphas": [8, 16, 32, 64], "alpha": 1.0, "eigs": None, "s": 0.5,
+        "s_values": [0.25, 0.5, 1.0],
+        "grid": {"h_x": 0.0625, "omega_max": 8.0, "padding_m": 8.0,
+                 "quad_density": 256, "padding_tol": 1e-08},
+        "eps_schedule": None, "output": None}, sort_keys=True)
+
+
+# one value per schema field: the flag's text and the same value in a document
+FLAG_VALUES = {
+    "power_S": ("2.5", 2.5), "alphas": ("4,8", [4, 8]), "alpha": ("3", 3),
+    "eigs": ("2, 1.5", [2, 1.5]), "s": ("0.25", 0.25), "s_values": ("0.5,1", [0.5, 1]),
+    "grid.h_x": ("0.03125", 0.03125), "grid.omega_max": ("4", 4),
+    "grid.padding_m": ("6", 6), "grid.quad_density": ("128", 128),
+    "grid.padding_tol": ("1e-6", 1e-6),
+}
+
+
+@pytest.mark.parametrize("field", cli._FIELDS, ids=lambda f: f.flag)
+def test_every_flag_matches_its_document_field(field):
+    text, value = FLAG_VALUES[field.path]
+    section, _, key = field.path.rpartition(".")
+    doc = {"command": "sweep", **({section: {key: value}} if section else {key: value})}
+    from_flag = cli.parse_config(["sweep", field.flag, text]).as_dict()
+    from_doc = validate_config(doc).as_dict()
+    assert json.dumps(from_flag, sort_keys=True) == json.dumps(from_doc, sort_keys=True)
+    assert from_doc != validate_config({"command": "sweep"}).as_dict()
+
+
+def test_flag_table_covers_every_field():
+    assert set(FLAG_VALUES) == {f.path for f in cli._FIELDS}
 
 
 def test_json_roundtrip_is_lossless(tmp_path, capsys):

@@ -37,7 +37,7 @@ def test_unknown_family_raises_configuration_error():
     with pytest.raises(ConfigurationError):
         sc.make_symbol("no_such_family")
     bogus = SymbolSpec(family_name="no_such_family", params=(), period_x=None,
-                       omega_decay="?", smoothness_order=0)
+                       smoothness_order=0)
     with pytest.raises(ConfigurationError):
         sc.eval_symbol(bogus, 0.0, 0.0)
 
@@ -51,6 +51,23 @@ def test_bad_parameters_raise_domain_error():
         sc.make_symbol("square_smooth", beta=2.0)
     with pytest.raises(DomainError):
         sc.make_symbol("band_constant", bogus=1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_non_finite_parameters_raise_domain_error(name, value):
+    # an infinite symbol used to pass validation and hang the water-level
+    # bisection, whose upper bracket never grows from 2 / inf = 0
+    spec = sc.make_symbol(name)
+    for param in spec.param_map:
+        with pytest.raises(DomainError, match=param):
+            sc.make_symbol(name, **{param: value})
+        params = tuple({**spec.param_map, param: value}.items())
+        built = SymbolSpec(family_name=name, params=params, period_x=spec.period_x,
+                           smoothness_order=spec.smoothness_order,
+                           time_invariant=spec.time_invariant)
+        with pytest.raises(DomainError, match=param):
+            sc.eval_symbol(built, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -91,21 +108,6 @@ def test_omega_square_integrability_under_doubling(name):
     e8, e16, e32 = tail_energy(8.0), tail_energy(16.0), tail_energy(32.0)
     assert abs(e16 - e8) <= 1e-6 * max(e8, 1e-12) + 1e-9
     assert abs(e32 - e16) <= abs(e16 - e8) + 1e-12
-
-
-@pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_partial_derivatives_match_finite_differences(name):
-    spec = sc.make_symbol(name)
-    # generic points away from band edges and raised-cosine junctions
-    xs = np.array([0.13, 0.31, 0.62, 0.87])
-    oms = np.array([-2.31, -0.17, 0.41, 1.73]) * 0.1
-    h = 1e-6
-    for x in xs:
-        for om in oms:
-            dx = (sc.eval_symbol(spec, x + h, om) - sc.eval_symbol(spec, x - h, om)) / (2 * h)
-            dom = (sc.eval_symbol(spec, x, om + h) - sc.eval_symbol(spec, x, om - h)) / (2 * h)
-            assert sc.eval_symbol_dx(spec, x, om) == pytest.approx(dx, rel=1e-5, abs=1e-7)
-            assert sc.eval_symbol_domega(spec, x, om) == pytest.approx(dom, rel=1e-5, abs=1e-7)
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)

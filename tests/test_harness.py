@@ -117,6 +117,23 @@ def test_trace_norm_requires_integer_alpha():
         run_trace_norm_scaling(COSINE, 0.5, [2.5])
 
 
+RUNNERS = {
+    "sweep": lambda alphas: run_convergence_sweep(COSINE, 1.0, alphas),
+    "check-stability": lambda alphas: run_stability_check(COSINE, np.asarray, alphas),
+    "check-hs": lambda alphas: run_hs_boundary_check(COSINE, alphas),
+    "check-product": lambda alphas: run_symbol_calculus_check(COSINE, [0.5], alphas),
+    "check-tracenorm": lambda alphas: run_trace_norm_scaling(COSINE, 0.5, alphas),
+}
+
+
+@pytest.mark.parametrize("alphas", [[], [np.nan], [np.inf], [4, -np.inf], [0], [-2], [2.5]],
+                         ids=["empty", "nan", "inf", "minus-inf", "zero", "negative", "fraction"])
+@pytest.mark.parametrize("command", RUNNERS)
+def test_bad_alphas_raise_domain_error(command, alphas):
+    with pytest.raises(DomainError, match="alphas"):
+        RUNNERS[command](alphas)
+
+
 def test_trace_norm_adjoint_consistency():
     # kernel-level T agrees with adjoint(quantize(conj tau)) - quantize(tau)
     from szegocap.operators import SymbolFunctionSpec

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import szegocap as sc
-from szegocap.errors import AliasingError, GridMismatchError
-from szegocap.families import (default_envelope, envelope_sqrt_l1_norm,
-                               sample_symbol)
+from szegocap.errors import AliasingError, DomainError, GridMismatchError
+from szegocap.families import default_envelope, sample_symbol
 from szegocap.operators import SymbolFunctionSpec
 from szegocap.spectral import eigh_matrix, window_trace
 from szegocap.transforms import kernel_from_values
@@ -106,6 +107,14 @@ def test_compose_grid_mismatch():
         sc.compose(a, b)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["alpha", "h_x", "omega_max", "padding", "h_omega"])
+def test_non_finite_grid_arguments_raise_domain_error(name, value):
+    # these used to escape as a bare ValueError (NaN) or OverflowError (inf)
+    with pytest.raises(DomainError, match=name):
+        sc.make_grid(**{"alpha": 2.0, name: value})
+
+
 def test_hermitize_fixed_point_and_defect():
     grid = sc.make_grid(2)
     p = sc.projection(grid)
@@ -117,6 +126,12 @@ def test_hermitize_fixed_point_and_defect():
     assert op.hermitian_defect <= 1e-10      # real symmetric Toeplitz
     herm = sc.hermitize(sc.quantize(sc.make_symbol("cosine_gauss"), grid)).matrix
     assert np.linalg.norm(0.5 * (herm - herm.conj().T), 2) <= 1e-13
+
+
+def envelope_sqrt_l1_norm(env, z_lo, z_hi, n=400001):
+    """Trapezoidal L1 norm of sqrt(psi) over the truncated window [z_lo, z_hi]."""
+    z = np.linspace(z_lo, z_hi, n)
+    return float(np.trapezoid(np.sqrt(env.psi(z)), z))
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 import szegocap as sc
-from szegocap.errors import DomainError, NonHermitianError, NumericalError
+from szegocap.errors import DomainError, NonHermitianError
 from szegocap.operators import DiscreteOperator
 from szegocap.spectral import eigh_matrix
 
@@ -133,40 +131,3 @@ def test_trace_restricted_band_value():
     op = sc.quantize(spec, grid)
     assert sc.trace_restricted(op) == pytest.approx(8.0, abs=1e-6)
 
-
-def test_apply_spectral_function_identity_and_square():
-    grid = sc.make_grid(2)
-    herm = sc.hermitize(sc.quantize(sc.make_symbol("cosine_gauss"), grid))
-    p = sc.projection(grid)
-    plp = sc.compose(sc.compose(p, herm), p)
-
-    same = sc.apply_spectral_function(plp, lambda x: x)
-    scale = np.abs(plp.matrix).max()
-    assert np.abs(same.matrix - plp.matrix).max() <= 1e-9 * scale
-
-    squared = sc.apply_spectral_function(plp, lambda x: x ** 2)
-    direct = sc.compose(plp, plp)
-    assert np.abs(squared.matrix - direct.matrix).max() <= 1e-9 * max(scale ** 2, 1e-30)
-
-
-def test_apply_spectral_function_rate_example():
-    op = _wrap(np.diag([4.0, 1.0]))
-    out = sc.apply_spectral_function(op, lambda x: sc.rate_log(0.75 * x))
-    assert out.matrix[0, 0] == pytest.approx(math.log(3.0), rel=1e-12)
-    assert abs(out.matrix[1, 1]) < 1e-15
-
-
-def test_apply_spectral_function_domain_error():
-    grid = sc.make_grid(2, padding=1.0)
-    p = sc.projection(grid)   # has a zero eigenvalue
-    with pytest.raises(DomainError):
-        sc.apply_spectral_function(p, np.log)
-
-
-def test_clip_negative():
-    vals = np.array([1.0, 1e-12, -5e-11])
-    out = sc.clip_negative(vals)
-    assert np.all(out >= 0)
-    assert out[0] == 1.0
-    with pytest.raises(NumericalError):
-        sc.clip_negative(np.array([1.0, -1e-3]))

@@ -6,7 +6,7 @@ import pytest
 import szegocap as sc
 from szegocap.errors import DomainError, NoCapacityError, UnsupportedSymbolError
 from szegocap.families import SymbolSpec, _REGISTRY
-from szegocap.waterfill import QuadratureConfig, RATE_FUNCTIONS
+from szegocap.waterfill import QuadratureConfig, power_gap, rate_log
 
 
 def test_hand_solved_equal_eigenvalues():
@@ -110,8 +110,7 @@ def test_symbol_quadrature_self_convergence():
 
 def test_symbol_rejects_nonperiodic_time_varying():
     broken = SymbolSpec(family_name="cosine_gauss", params=(("w", 1.0),),
-                        period_x=None, omega_decay="gaussian",
-                        smoothness_order=99, time_invariant=False)
+                        period_x=None, smoothness_order=99, time_invariant=False)
     with pytest.raises(UnsupportedSymbolError):
         sc.waterfill_symbol(broken, 1.0)
 
@@ -138,7 +137,7 @@ def test_discrete_converges_to_time_invariant_closed_form():
 
 
 def test_rate_functions_at_threshold():
-    r, p = RATE_FUNCTIONS.r, RATE_FUNCTIONS.p
+    r, p = rate_log, power_gap
     assert r(np.array([1.0]))[0] == 0.0
     assert p(np.array([1.0]))[0] == 0.0
     assert np.all(r(np.array([0.2, 0.9])) == 0.0)
