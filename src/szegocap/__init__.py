@@ -17,9 +17,9 @@ from .harness import (EpsSchedule, FitResult, SweepRecord, SweepReport,
                       run_hs_boundary_check, run_stability_check,
                       run_symbol_calculus_check, run_trace_norm_scaling)
 from .operators import (DiscreteOperator, SymbolFunctionSpec, adjoint, compose,
-                        hermitize, projection, quantize, window_block)
-from .spectral import Spectrum, eigh, schatten_norm, trace_restricted
-from .transforms import EnvelopeReport, envelope_check, symbol_to_kernel
+                        hermitize, quantize, window_block)
+from .spectral import eigh
+from .transforms import EnvelopeReport, envelope_check
 from .waterfill import (QuadratureConfig, WaterfillSolution, build_f_eps,
                         power_gap, rate_log, smoothstep, waterfill_discrete,
                         waterfill_symbol)

@@ -126,6 +126,8 @@ def _field_value(f: _Field, v):
     if f.type == "ints":
         if any(int(u) != u for u in vals):
             raise ConfigFieldError(f.path, f"entries must be integers, got {vals}")
+        if len(set(vals)) < len(vals):
+            raise ConfigFieldError(f.path, f"entries must be distinct, got {vals}")
         return [int(u) for u in vals]
     return vals
 
@@ -302,15 +304,16 @@ def parse_config(argv: list[str]) -> RunConfig:
     doc: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigFieldError("", f"config file is not valid JSON: {exc}") from exc
+            try:
+                doc = json.loads(fh.read())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ConfigFieldError("", f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigFieldError("", "config document must be a JSON object")
     doc = merge_flags(doc, args)
     cfg = validate_config(doc)
+    if args.dump_operator and cfg.command == "waterfill":
+        raise ConfigFieldError("dump_operator", "waterfill quantizes no operator to dump")
     cfg.dump_operator = args.dump_operator
     return cfg
 

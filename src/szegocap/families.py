@@ -252,10 +252,10 @@ def eval_symbol(spec: SymbolSpec, x, omega):
     return out
 
 
-def sample_symbol(spec: SymbolSpec, grid, rows: int | None = None) -> np.ndarray:
+def sample_symbol(spec: SymbolSpec, grid, rows=slice(None)) -> np.ndarray:
     """Sample sigma on the grid's (x, omega) tensor product, shape (n_x, n_omega);
-    with `rows`, only the first that many x points."""
-    x = grid.x_points()[:rows, None]
+    with `rows` (a slice or boolean mask of the x points), only those rows."""
+    x = grid.x_points()[rows, None]
     omega = grid.omega_points()[None, :]
     return np.asarray(eval_symbol(spec, x, omega), dtype=float)
 
@@ -269,7 +269,8 @@ def default_envelope(spec: SymbolSpec, omega_max: float = 8.0,
     float-roundoff floor, so symbols with slowly decaying frequency tails
     (or super-polynomially small true kernels) still satisfy the pointwise
     bound on discretely assembled kernels.  tail_constant is max over a
-    log-spaced s scan of s * tail(s) for the widened psi.
+    log-spaced s scan of s * tail(s) for the widened psi; beyond z_max the
+    tail continues psi(z_max) as (z_max / z)^2, the slowest family decay.
     """
     fam, params = _checked(spec)
     psi_true = fam.psi(params)
@@ -286,7 +287,7 @@ def default_envelope(spec: SymbolSpec, omega_max: float = 8.0,
     z = np.linspace(0.0, z_max, n_scan)
     vals = psi(z)
     seg = 0.5 * (vals[1:] + vals[:-1]) * (z[1] - z[0])
-    tail_one_sided = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    tail_one_sided = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + z_max * vals[-1]
     s_grid = np.logspace(-2, np.log10(z_max / 2.0), 600)
     tails = 2.0 * np.interp(s_grid, z, tail_one_sided)
     c = float(np.max(s_grid * tails)) * (1.0 + 1e-9)

@@ -53,9 +53,6 @@ class Grid:
         x = self.x_points()
         return (x > 0.0) & (x < self.alpha)
 
-    def window_size(self) -> int:
-        return int(np.count_nonzero(self.window_mask()))
-
 
 def make_grid(alpha: float,
               h_x: float = DEFAULT_H_X,

@@ -20,10 +20,10 @@ from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import (SymbolSpec, default_envelope, envelope_l1_norm,
                        sample_symbol)
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, Grid, make_grid
-from .operators import (SymbolFunctionSpec, assemble, hermitize, quantize,
-                        window_block)
+from .operators import (SymbolFunctionSpec, assemble, hermitize, order_differences,
+                        quantize, window_block)
 from .spectral import eigh_matrix, window_trace
-from .transforms import envelope_check, kernel_from_values, two_symbol_kernel
+from .transforms import envelope_check, kernel_from_values
 from .waterfill import (QuadratureConfig, build_f_eps, rate_log,
                         sup_abs_second_derivative, waterfill_discrete,
                         waterfill_symbol)
@@ -120,8 +120,10 @@ def fit_affine(xs, ys) -> FitResult:
 
 def _check_alphas(alphas) -> list[int]:
     alphas = list(alphas)
-    if not alphas or not all(math.isfinite(a) and a > 0 and int(a) == a for a in alphas):
-        raise DomainError(f"alphas must be a non-empty list of positive integers, got {alphas}")
+    if not alphas or not all(math.isfinite(a) and a > 0 and int(a) == a for a in alphas) \
+            or len(set(alphas)) < len(alphas):
+        raise DomainError(
+            f"alphas must be a non-empty list of distinct positive integers, got {alphas}")
     return [int(a) for a in alphas]
 
 
@@ -207,7 +209,7 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
         tr_f_l = window_trace(herm, f)
         # tr_a of the quantized f(sigma): h_x times the omega-quadrature of
         # f(sigma(x_i, .)) summed over the window rows
-        f_sigma = np.asarray(f(sample_symbol(spec, grid)[grid.window_mask(), :]), dtype=float)
+        f_sigma = np.asarray(f(sample_symbol(spec, grid, rows=grid.window_mask())), dtype=float)
         tr_l_fsigma = float(grid.h_x * (f_sigma * grid.omega_weights()).sum())
 
         rec.error_total = (tr_f_plp - tr_l_fsigma) / rec.alpha
@@ -294,8 +296,9 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
     env = default_envelope(spec)
     env_report = envelope_check(spec, env, make_grid(_check_alphas(alphas)[0], **(grid_kw or {})))
     if not env_report.passed:
+        failed = "pointwise" if not env_report.pointwise_ok else "tail"
         raise ConfigurationError(
-            f"default envelope fails its own check (worst margin "
+            f"default envelope fails its own {failed} check (worst margin "
             f"{env_report.worst_margin:.3e}); cannot certify HS bounds")
     psi_l1 = envelope_l1_norm(env)
 
@@ -360,33 +363,23 @@ def run_trace_norm_scaling(spec: SymbolSpec, s: float, alphas,
     """Schatten norms of the quantization-order differences T and T'.
 
     T = L*_{conj tau} - L_tau and T' = L_sigma L*_{conj tau} - L_{sigma tau}
-    with tau = e^{i 2 pi s sigma}, assembled directly from their kernels
-    (frequency quadrature of tau(y, .) - tau(x, .) phase integrals).
+    with tau = e^{i 2 pi s sigma}, assembled from their Fourier blocks
+    (operators.order_differences) in the window columns.
     """
     _require_periodic(spec, "trace-norm scaling")
     s = float(s)
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
-        mask = grid.window_mask()
-        sigma = sample_symbol(spec, grid)
         if spec.time_invariant:
             # the integrand tau(y, .) - tau(x, .) vanishes identically
-            t_mat = np.zeros((grid.n_x, grid.n_x))
-            tp_mat = t_mat
-        else:
-            tau = np.exp(2j * np.pi * s * sigma)
-            ones = np.ones_like(sigma)
-            # t(x, y)  = int e^{-i2pi w (x-y)} (tau(y, w) - tau(x, w)) dw
-            # t'(x, y) = int e^{-i2pi w (x-y)} sigma(x, w) (tau(y, w) - tau(x, w)) dw
-            t_mat = grid.h_x * (two_symbol_kernel(ones, tau, grid)
-                                - two_symbol_kernel(tau, ones, grid))
-            tp_mat = grid.h_x * (two_symbol_kernel(sigma, tau, grid)
-                                 - two_symbol_kernel(sigma * tau, ones, grid))
-
-        t_cols, tp_cols = t_mat[:, mask], tp_mat[:, mask]
-        rec.tp_i1, rec.tp_i2 = _trace_norm(t_cols), float(np.linalg.norm(t_cols))
-        rec.extra["tp_prime_i1"] = _trace_norm(tp_cols)
-        rec.extra["tp_prime_i2"] = float(np.linalg.norm(tp_cols))
+            rec.tp_i1 = rec.tp_i2 = rec.extra["tp_prime_i1"] = rec.extra["tp_prime_i2"] = 0.0
+            return
+        norms = []
+        for blocks in order_differences(spec, s, grid):
+            cols = assemble(blocks, cols=grid.window_mask())
+            norms += [_trace_norm(cols), float(np.linalg.norm(cols))]
+            del cols            # one n_x x window array at a time
+        rec.tp_i1, rec.tp_i2, rec.extra["tp_prime_i1"], rec.extra["tp_prime_i2"] = norms
 
     report, _ = _sweep("check-tracenorm", alphas, grid_kw, measure, fits={
         "tp_i1": lambda r: r.tp_i1,

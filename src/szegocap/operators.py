@@ -21,7 +21,6 @@ no prime factor above 5, which covers the default grids).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import AliasingError, DomainError, GridMismatchError
 from .families import SymbolSpec, sample_symbol
 from .grid import Grid
 
-_POINTWISE_MAPS = ("identity", "f_eps", "exp_i2pi_s", "product_sigma_exp")
+_POINTWISE_MAPS = ("identity", "exp_i2pi_s", "product_sigma_exp")
 _LATTICE_TOL = 1e-9
 
 
@@ -42,14 +41,7 @@ class DiscreteOperator:
     """
     blocks: np.ndarray
     grid: Grid
-    kind: str                    # quantized | projection | composite
     hermitian_defect: float      # exact ||(A - A*)/2||_2
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, grid: Grid, kind: str,
-                    hermitian_defect: float) -> "DiscreteOperator":
-        """Wrap a dense n x n matrix as a single (m = 1) block."""
-        return cls(np.asarray(matrix)[None], grid, kind, hermitian_defect)
 
     @property
     def n(self) -> int:
@@ -66,7 +58,6 @@ class SymbolFunctionSpec:
     base: SymbolSpec
     pointwise_map: str = "identity"
     s: float | None = None
-    f: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.pointwise_map not in _POINTWISE_MAPS:
@@ -74,8 +65,6 @@ class SymbolFunctionSpec:
                               f"known: {_POINTWISE_MAPS}")
         if self.pointwise_map in ("exp_i2pi_s", "product_sigma_exp") and self.s is None:
             raise DomainError(f"pointwise map {self.pointwise_map!r} requires s")
-        if self.pointwise_map == "f_eps" and self.f is None:
-            raise DomainError("pointwise map 'f_eps' requires the mapped function f")
 
 
 def assemble(blocks: np.ndarray, rows=None, cols=None) -> np.ndarray:
@@ -160,8 +149,6 @@ def _mapped_values(sfs: SymbolFunctionSpec, sigma: np.ndarray) -> tuple[np.ndarr
     """Mapped symbol samples and whether an identity matrix must be added."""
     if sfs.pointwise_map == "identity":
         return sigma, False
-    if sfs.pointwise_map == "f_eps":
-        return np.asarray(sfs.f(sigma), dtype=float), False
     phase = np.exp(2j * np.pi * sfs.s * sigma)
     if sfs.pointwise_map == "exp_i2pi_s":
         # e^{i 2 pi s sigma} = 1 + (e^{i 2 pi s sigma} - 1); the constant-1 part
@@ -170,12 +157,15 @@ def _mapped_values(sfs: SymbolFunctionSpec, sigma: np.ndarray) -> tuple[np.ndarr
     return sigma * phase, False
 
 
-def _fourier_blocks(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fourier blocks A_k[r, s] = h_x m sum_{q = -k mod m} w_q V_r[q] e^{-2 pi i q (r - s) / n_x}.
+def _fourier_blocks(values: np.ndarray, grid: Grid, col_values=1.0) -> np.ndarray:
+    """Fourier blocks of the kernel with amplitude V(x, omega) U(y, omega),
+    A_k[r, s] = h_x m sum_{q = -k mod m} w_q V_r[q] U_s[q] e^{-2 pi i q (r - s) / n_x}.
 
-    values holds the mapped samples of the first b rows; q = omega * span is
-    the frequency index (an integer when m > 1; with m = 1 every frequency
-    falls in the one class and the block is the dense quadrature).
+    values (V) and col_values (U, default 1) hold samples of the first b
+    rows; the amplitude keeps its value when x and y shift by one period.
+    q = omega * span is the frequency index (an integer when m > 1; with m = 1
+    every frequency falls in the one class and the block is the dense
+    quadrature).
     """
     b = values.shape[0]
     m = grid.n_x // b
@@ -184,7 +174,7 @@ def _fourier_blocks(values: np.ndarray, grid: Grid) -> np.ndarray:
     # row k of `index` lists the frequencies of class k; empty slots point at
     # an appended zero column
     counts = np.bincount(cls, minlength=m)
-    order = np.argsort(cls, kind="stable")
+    order = np.lexsort((cls,))
     index = np.full((m, counts.max()), omega.size)
     index[cls[order], np.arange(omega.size) - (np.cumsum(counts) - counts)[cls[order]]] = order
 
@@ -192,7 +182,7 @@ def _fourier_blocks(values: np.ndarray, grid: Grid) -> np.ndarray:
     phase = np.exp(-2j * np.pi * np.outer(np.arange(b) * grid.h_x, omega))
     zero = np.zeros((b, 1))
     left = np.concatenate([(values * grid.omega_weights()) * phase, zero], axis=1)
-    right = np.concatenate([phase, zero], axis=1)
+    right = np.concatenate([phase * np.conj(col_values), zero], axis=1)
     blocks = left.T[index].swapaxes(1, 2) @ right.T[index].conj()
     return (grid.h_x * m) * blocks
 
@@ -203,18 +193,24 @@ def quantize(sfs: SymbolFunctionSpec | SymbolSpec, grid: Grid) -> DiscreteOperat
         sfs = SymbolFunctionSpec(base=sfs)
     _check_aliasing(grid)
     b = _block_size(sfs.base, grid)
-    values, add_identity = _mapped_values(sfs, sample_symbol(sfs.base, grid, rows=b))
+    values, add_identity = _mapped_values(sfs, sample_symbol(sfs.base, grid, rows=slice(b)))
     blocks = _fourier_blocks(values, grid)
     if add_identity:
         blocks += np.eye(b)
-    return DiscreteOperator(blocks=blocks, grid=grid, kind="quantized",
-                            hermitian_defect=skew_norm(blocks))
+    return DiscreteOperator(blocks=blocks, grid=grid, hermitian_defect=skew_norm(blocks))
 
 
-def projection(grid: Grid) -> DiscreteOperator:
-    """Diagonal 0/1 restriction onto the window [0, alpha]."""
-    diag = grid.window_mask().astype(float)
-    return DiscreteOperator.from_matrix(np.diag(diag), grid, "projection", 0.0)
+def order_differences(spec: SymbolSpec, s: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier blocks of the quantization-order differences T and T', tau = e^{i 2 pi s sigma}.
+
+    Their kernels integrate e^{-i 2 pi omega (x - y)} against tau(y, omega) -
+    tau(x, omega) and sigma(x, omega) tau(y, omega) - (sigma tau)(x, omega).
+    """
+    _check_aliasing(grid)
+    sigma = sample_symbol(spec, grid, rows=slice(_block_size(spec, grid)))
+    tau = np.exp(2j * np.pi * s * sigma)
+    return (_fourier_blocks(np.ones_like(sigma), grid, tau) - _fourier_blocks(tau, grid),
+            _fourier_blocks(sigma, grid, tau) - _fourier_blocks(sigma * tau, grid))
 
 
 def compose(a: DiscreteOperator, b: DiscreteOperator) -> DiscreteOperator:
@@ -226,20 +222,18 @@ def compose(a: DiscreteOperator, b: DiscreteOperator) -> DiscreteOperator:
     left, right = (a.blocks, b.blocks) if a.blocks.shape == b.blocks.shape \
         else (a.matrix[None], b.matrix[None])
     blocks = left @ right
-    return DiscreteOperator(blocks=blocks, grid=a.grid, kind="composite",
-                            hermitian_defect=skew_norm(blocks))
+    return DiscreteOperator(blocks=blocks, grid=a.grid, hermitian_defect=skew_norm(blocks))
 
 
 def adjoint(a: DiscreteOperator) -> DiscreteOperator:
     return DiscreteOperator(blocks=_conj_t(a.blocks).copy(), grid=a.grid,
-                            kind=a.kind, hermitian_defect=a.hermitian_defect)
+                            hermitian_defect=a.hermitian_defect)
 
 
 def hermitize(a: DiscreteOperator) -> DiscreteOperator:
     """Hermitian part (A + A*)/2; the removed skew part is a.hermitian_defect."""
     blocks = 0.5 * (a.blocks + _conj_t(a.blocks))
-    return DiscreteOperator(blocks=blocks, grid=a.grid, kind=a.kind,
-                            hermitian_defect=0.0)
+    return DiscreteOperator(blocks=blocks, grid=a.grid, hermitian_defect=0.0)
 
 
 def window_block(a: DiscreteOperator) -> np.ndarray:

@@ -1,23 +1,20 @@
-"""Symbol <-> kernel Fourier correspondence on a grid, plus envelope checks.
+"""Dense symbol -> kernel quadrature, and the kernel envelope check.
 
 Sign convention, fixed package-wide: symbol -> kernel integrates
-e^{-i 2 pi omega z} sigma(x, omega) d omega at z = x - y; kernel -> symbol
-(a test oracle) applies the inverse phase e^{+i 2 pi omega z}.  Composition and
-round-trip tests rely on this pairing.
+e^{-i 2 pi omega z} sigma(x, omega) d omega at z = x - y.  The dense
+quadrature serves the stability check, whose spectral interval feeds a
+finite-difference sup of f'' (see harness.run_stability_check).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TruncationWarning
-from .families import KernelEnvelope, SymbolSpec, sample_symbol
+from .families import KernelEnvelope, SymbolSpec
 from .grid import Grid
-
-DEFAULT_TAIL_TOL = 1e-10
+from .operators import assemble, quantize
 
 
 def _phase_matrix(grid: Grid) -> np.ndarray:
@@ -34,32 +31,6 @@ def kernel_from_values(values: np.ndarray, grid: Grid) -> np.ndarray:
     """
     phase = _phase_matrix(grid)
     return ((values * grid.omega_weights()) * phase) @ phase.conj().T
-
-
-def two_symbol_kernel(row_values: np.ndarray, col_values: np.ndarray,
-                      grid: Grid) -> np.ndarray:
-    """Mixed kernel K[i, j] = sum_m w_m row[i, m] col[j, m] e^{-i 2 pi omega_m (x_i - x_j)}.
-
-    With col = 1 this is the plain (row-symbol) quadrature kernel; with row = 1
-    it is the column-symbol kernel of an adjoint-style quantization.
-    """
-    phase = _phase_matrix(grid)
-    return ((row_values * grid.omega_weights()) * phase) @ (col_values * phase.conj()).T
-
-
-def symbol_to_kernel(spec: SymbolSpec, grid: Grid,
-                     tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Unweighted kernel matrix k(x_i, x_j) of the symbol on the grid.
-
-    Emits a TruncationWarning when |sigma(x, +-omega_max)| exceeds tail_tol.
-    """
-    values = sample_symbol(spec, grid)
-    edge = max(np.abs(values[:, 0]).max(), np.abs(values[:, -1]).max())
-    if edge > tail_tol:
-        warnings.warn(TruncationWarning(
-            f"symbol mass {edge:.3e} above tail_tol {tail_tol:.1e} at omega = "
-            f"+-{grid.omega_max}; frequency truncation may bias the kernel"))
-    return kernel_from_values(values, grid)
 
 
 @dataclass
@@ -80,14 +51,18 @@ def envelope_check(spec: SymbolSpec, env: KernelEnvelope, grid: Grid,
 
     Pointwise samples are restricted to |z| <= span/2: beyond that the
     discrete kernel is dominated by its span-periodization image rather than
-    the continuum profile the envelope describes.  Violations are reported,
-    not raised.
+    the continuum profile the envelope describes.  Every distinct kernel
+    value lies in the first b rows; with m > 1 blocks the kernel is
+    span-periodic in z, which is wrapped into [-span/2, span/2] (psi must be
+    even).  Violations are reported, not raised.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        kernel = symbol_to_kernel(spec, grid)
+    op = quantize(spec, grid)
+    b = op.blocks.shape[1]
+    kernel = assemble(op.blocks, rows=np.arange(grid.n_x) < b) / grid.h_x
     x = grid.x_points()
-    z = x[:, None] - x[None, :]
+    z = x[:b, None] - x[None, :]
+    if b < grid.n_x:
+        z -= grid.span * np.round(z / grid.span)
     keep = np.abs(z) <= grid.span / 2.0
     k2 = np.abs(kernel) ** 2
     psi_z = env.psi(z)

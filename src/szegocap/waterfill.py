@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DomainError, NoCapacityError, UnsupportedSymbolError
 from .families import SymbolSpec, eval_symbol
-from .spectral import Spectrum
 
 B_REL_TOL = 1e-12
 
@@ -159,7 +158,7 @@ def waterfill_discrete(spectrum, S: float, alpha: float) -> WaterfillSolution:
         raise DomainError(f"power budget S must be nonnegative, got {S}")
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    values = spectrum.values if isinstance(spectrum, Spectrum) else np.asarray(spectrum, dtype=float)
+    values = np.asarray(spectrum, dtype=float)
     if not np.all(np.isfinite(values)):
         raise DomainError(f"eigenvalues must be finite, got {values[~np.isfinite(values)][:5]}")
     pos = values[values > 0.0]

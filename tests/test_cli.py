@@ -72,6 +72,30 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"command": "waterfill", "eigs": [1], "x": "\xff"}')
+    code, out, err = run_cli(["-c", str(path)], capsys)
+    assert code == 2
+    assert "utf-8" in err
+
+
+def test_repeated_alphas_exit_2(capsys):
+    code, out, err = run_cli(["check-hs", "--family", "band_constant", "--alphas", "2,2,2"],
+                             capsys)
+    assert code == 2
+    assert "'alphas'" in err and "distinct" in err
+
+
+def test_waterfill_dump_operator_exits_2_before_writing(tmp_path, capsys):
+    report, npy = tmp_path / "r.json", tmp_path / "op.npy"
+    code, out, err = run_cli(["waterfill", "--eigs", "4,1", "--output", str(report),
+                              "--dump-operator", str(npy)], capsys)
+    assert code == 2
+    assert "dump_operator" in err
+    assert not report.exists() and not npy.exists()
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "command": "waterfill", "eigs": [4, 1], "power_S": 0.5,

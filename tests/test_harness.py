@@ -9,6 +9,7 @@ from szegocap.harness import (EpsSchedule, fit_loglog,
                               run_trace_norm_scaling)
 from szegocap.reports import report_csv
 from szegocap.spectral import eigh_matrix
+from szegocap.waterfill import QuadratureConfig
 
 
 COSINE = sc.make_symbol("cosine_gauss")
@@ -126,8 +127,10 @@ RUNNERS = {
 }
 
 
-@pytest.mark.parametrize("alphas", [[], [np.nan], [np.inf], [4, -np.inf], [0], [-2], [2.5]],
-                         ids=["empty", "nan", "inf", "minus-inf", "zero", "negative", "fraction"])
+@pytest.mark.parametrize("alphas", [[], [np.nan], [np.inf], [4, -np.inf], [0], [-2], [2.5],
+                                    [2, 2, 2]],
+                         ids=["empty", "nan", "inf", "minus-inf", "zero", "negative", "fraction",
+                              "repeated"])
 @pytest.mark.parametrize("command", RUNNERS)
 def test_bad_alphas_raise_domain_error(command, alphas):
     with pytest.raises(DomainError, match="alphas"):
@@ -135,21 +138,39 @@ def test_bad_alphas_raise_domain_error(command, alphas):
 
 
 def test_trace_norm_adjoint_consistency():
-    # kernel-level T agrees with adjoint(quantize(conj tau)) - quantize(tau)
-    from szegocap.operators import SymbolFunctionSpec
-    from szegocap.families import sample_symbol
-    from szegocap.transforms import two_symbol_kernel
-    s, alpha = 0.5, 2
-    grid = sc.make_grid(alpha)
-    sigma = sample_symbol(COSINE, grid)
-    tau = np.exp(2j * np.pi * s * sigma)
-    ones = np.ones_like(sigma)
-    t_kernel = grid.h_x * (two_symbol_kernel(ones, tau, grid)
-                           - two_symbol_kernel(tau, ones, grid))
+    # the blocks of T agree with adjoint(quantize(conj tau)) - quantize(tau)
+    from szegocap.operators import SymbolFunctionSpec, assemble, order_differences
+    s, grid = 0.5, sc.make_grid(2)
     a_tau = sc.quantize(SymbolFunctionSpec(COSINE, "exp_i2pi_s", s=s), grid)
     a_tau_conj = sc.quantize(SymbolFunctionSpec(COSINE, "exp_i2pi_s", s=-s), grid)
     t_matrix = sc.adjoint(a_tau_conj).matrix - a_tau.matrix
-    assert np.abs(t_kernel - t_matrix).max() <= 1e-8
+    assert np.abs(assemble(order_differences(COSINE, s, grid)[0]) - t_matrix).max() <= 1e-8
+
+
+GUARDED = {
+    # the symbol water-fill's quadrature does not grow with n_x; at the default
+    # density it alone peaks at 101 MB traced
+    "sweep": lambda alphas, grid_kw: run_convergence_sweep(
+        COSINE, 1.0, alphas, grid_kw, QuadratureConfig(density=16)),
+    "check-product": lambda alphas, grid_kw: run_symbol_calculus_check(
+        COSINE, [0.5], alphas, grid_kw),
+    "check-tracenorm": lambda alphas, grid_kw: run_trace_norm_scaling(
+        COSINE, 0.5, alphas, grid_kw),
+    "check-hs": lambda alphas, grid_kw: run_hs_boundary_check(COSINE, alphas, grid_kw),
+}
+
+
+@pytest.mark.parametrize("command", GUARDED)
+def test_no_dense_allocation(command, dense_allocation_guard):
+    report = dense_allocation_guard(GUARDED[command])
+    assert all("error" not in r.extra for r in report.records)
+
+
+def test_hs_boundary_check_band_at_long_windows():
+    # the default envelope's tail constant used to cover only z <= 400, which
+    # the tail check integrates past once alpha >= 48
+    rep = run_hs_boundary_check(sc.make_symbol("band_constant"), [64, 128])
+    assert rep.summary["hs_bound_ok_all"]
 
 
 def test_sweep_determinism_bit_identical():

@@ -6,9 +6,9 @@ import pytest
 import szegocap as sc
 from szegocap.errors import AliasingError, DomainError, GridMismatchError
 from szegocap.families import default_envelope, sample_symbol
-from szegocap.operators import SymbolFunctionSpec
+from szegocap.operators import SymbolFunctionSpec, order_differences
 from szegocap.spectral import eigh_matrix, window_trace
-from szegocap.transforms import kernel_from_values
+from szegocap.transforms import _phase_matrix, kernel_from_values
 
 ALL_FAMILIES = ("band_constant", "cosine_gauss", "square_smooth", "two_tone")
 MAPS = ("identity", "exp_i2pi_s", "product_sigma_exp")
@@ -43,19 +43,38 @@ def dense_quadrature(sfs, grid):
     return grid.h_x * kernel_from_values(sigma * phase, grid)
 
 
+def two_symbol_kernel(row_values, col_values, grid):
+    """Mixed kernel K[i, j] = sum_m w_m row[i, m] col[j, m] e^{-i 2 pi omega_m (x_i - x_j)}.
+
+    With col = 1 this is the plain (row-symbol) quadrature kernel; with row = 1
+    it is the column-symbol kernel of an adjoint-style quantization.
+    """
+    phase = _phase_matrix(grid)
+    return ((row_values * grid.omega_weights()) * phase) @ (col_values * phase.conj()).T
+
+
+def dense_order_differences(spec, s, grid):
+    """Reference: the dense T and T' of operators.order_differences."""
+    sigma = sample_symbol(spec, grid)
+    tau = np.exp(2j * np.pi * s * sigma)
+    ones = np.ones_like(sigma)
+    return (grid.h_x * (two_symbol_kernel(ones, tau, grid) - two_symbol_kernel(tau, ones, grid)),
+            grid.h_x * (two_symbol_kernel(sigma, tau, grid)
+                        - two_symbol_kernel(sigma * tau, ones, grid)))
+
+
+def test_two_symbol_kernel_reduces_to_plain_kernel():
+    grid = sc.make_grid(2)
+    vals = sample_symbol(sc.make_symbol("cosine_gauss"), grid)
+    plain = kernel_from_values(vals, grid)
+    assert np.abs(plain - two_symbol_kernel(vals, np.ones_like(vals), grid)).max() < 1e-12
+
+
 def test_quantize_band_diagonal():
     spec = sc.make_symbol("band_constant", c=1.0, W=0.5)
     grid = sc.make_grid(4)
     op = sc.quantize(spec, grid)
     assert np.abs(np.diag(op.matrix) - grid.h_x).max() < 1e-14
-
-
-def test_quantize_zero_mapped_symbol_gives_zero_matrix():
-    spec = sc.make_symbol("cosine_gauss")
-    grid = sc.make_grid(2)
-    sfs = SymbolFunctionSpec(spec, "f_eps", f=lambda v: np.zeros_like(v))
-    op = sc.quantize(sfs, grid)
-    assert np.all(op.matrix == 0.0)
 
 
 def test_time_invariant_fast_path_matches_generic_quadrature():
@@ -78,22 +97,9 @@ def test_quantize_aliasing_guard():
         sc.quantize(spec, grid)
 
 
-def test_projection_rank_idempotent_indicator():
-    grid = sc.make_grid(4, padding=2.0)
-    p = sc.projection(grid)
-    rank = int(np.trace(p.matrix))
-    assert rank == grid.window_size() == round(grid.alpha / grid.h_x)
-    assert np.array_equal(p.matrix @ p.matrix, p.matrix)
-    ones = np.ones(grid.n_x)
-    assert np.array_equal(p.matrix @ ones, grid.window_mask().astype(float))
-
-
-def test_compose_projection_and_identity():
+def test_compose_with_identity():
     spec = sc.make_symbol("cosine_gauss")
     grid = sc.make_grid(2)
-    p = sc.projection(grid)
-    assert np.array_equal(sc.compose(p, p).matrix, p.matrix)
-
     op = sc.quantize(spec, grid)
     ident = sc.quantize(SymbolFunctionSpec(spec, "exp_i2pi_s", s=0.0), grid)
     assert np.array_equal(ident.matrix, np.eye(grid.n_x))
@@ -101,8 +107,9 @@ def test_compose_projection_and_identity():
 
 
 def test_compose_grid_mismatch():
-    a = sc.projection(sc.make_grid(2))
-    b = sc.projection(sc.make_grid(4))
+    spec = sc.make_symbol("cosine_gauss")
+    a = sc.quantize(spec, sc.make_grid(2))
+    b = sc.quantize(spec, sc.make_grid(4))
     with pytest.raises(GridMismatchError):
         sc.compose(a, b)
 
@@ -117,9 +124,8 @@ def test_non_finite_grid_arguments_raise_domain_error(name, value):
 
 def test_hermitize_fixed_point_and_defect():
     grid = sc.make_grid(2)
-    p = sc.projection(grid)
-    h = sc.hermitize(p)
-    assert np.array_equal(h.matrix, p.matrix)
+    h = sc.hermitize(sc.quantize(sc.make_symbol("cosine_gauss"), grid))
+    assert np.array_equal(sc.hermitize(h).blocks, h.blocks)
     assert h.hermitian_defect == 0.0
 
     op = sc.quantize(sc.make_symbol("band_constant", c=1.0, W=0.25), grid)
@@ -145,25 +151,11 @@ def test_operator_norm_bounded_by_sqrt_envelope_l1(name):
     assert norm <= bound + 1e-6
 
 
-def test_restricted_trace_identity_exact():
-    spec = sc.make_symbol("band_constant", c=1.0, W=0.5)
-    grid = sc.make_grid(4)
-    op = sc.quantize(spec, grid)
-    p = sc.projection(grid)
-    plp = sc.compose(sc.compose(p, op), p)
-    diag_sum = float(np.diag(op.matrix)[grid.window_mask()].sum().real)
-    assert np.trace(plp.matrix).real == pytest.approx(diag_sum, rel=1e-14)
-    assert sc.trace_restricted(op) == pytest.approx(diag_sum, rel=1e-14)
-
-
-def test_window_block_matches_projection_sandwich():
-    spec = sc.make_symbol("cosine_gauss")
+def test_window_block_is_the_window_submatrix():
     grid = sc.make_grid(2)
-    op = sc.quantize(spec, grid)
-    p = sc.projection(grid)
-    plp = sc.compose(sc.compose(p, op), p)
+    op = sc.quantize(sc.make_symbol("cosine_gauss"), grid)
     mask = grid.window_mask()
-    assert np.array_equal(sc.window_block(op), plp.matrix[np.ix_(mask, mask)])
+    assert np.array_equal(sc.window_block(op), op.matrix[np.ix_(mask, mask)])
 
 
 def test_nystrom_self_convergence():
@@ -248,6 +240,17 @@ def test_block_window_trace_matches_dense_eigh(name, grid_id):
     for f in (lambda x: x ** 2, lambda x: sc.rate_log(6.0 * x)):
         expect = float(np.sum(f(lam) * weights))
         assert window_trace(herm, f) == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
+@pytest.mark.parametrize("name", ("cosine_gauss", "square_smooth", "two_tone"))
+def test_order_differences_match_two_symbol_kernel(name, grid_id):
+    grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
+    spec = sc.make_symbol(name)
+    for blocks, dense in zip(order_differences(spec, 0.5, grid),
+                             dense_order_differences(spec, 0.5, grid)):
+        assert blocks.shape[0] == ORACLE_GRIDS[grid_id][1]
+        assert np.abs(sc.operators.assemble(blocks) - dense).max() <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [2, 8, 32])

@@ -7,10 +7,10 @@ import pytest
 import szegocap as sc
 from szegocap.errors import TruncationWarning
 from szegocap.families import KernelEnvelope
-from szegocap.transforms import (DEFAULT_TAIL_TOL, _phase_matrix,
-                                 kernel_from_values, two_symbol_kernel)
+from szegocap.transforms import _phase_matrix, kernel_from_values
 
 ALL_FAMILIES = ("band_constant", "cosine_gauss", "square_smooth", "two_tone")
+TAIL_TOL = 1e-10
 
 
 class SymbolRecovery(NamedTuple):
@@ -18,7 +18,7 @@ class SymbolRecovery(NamedTuple):
     max_imag: float
 
 
-def kernel_to_symbol(kernel, grid, tail_tol=DEFAULT_TAIL_TOL) -> SymbolRecovery:
+def kernel_to_symbol(kernel, grid, tail_tol=TAIL_TOL) -> SymbolRecovery:
     """Recover sigma(x_i, omega_m) from an unweighted kernel matrix.
 
     Row-wise forward transform in z = x - y with weight h_x.  The imaginary
@@ -43,10 +43,8 @@ def kernel_to_symbol(kernel, grid, tail_tol=DEFAULT_TAIL_TOL) -> SymbolRecovery:
     return SymbolRecovery(sigma=C.real.copy(), max_imag=float(np.abs(C.imag).max()))
 
 
-def _quiet_kernel(spec, grid):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        return sc.symbol_to_kernel(spec, grid)
+def _kernel(spec, grid):
+    return kernel_from_values(sc.sample_symbol(spec, grid), grid)
 
 
 def _quiet_recover(kernel, grid):
@@ -59,7 +57,7 @@ def test_band_kernel_diagonal_value():
     # z = 0 specialization: k(x, x) = int sigma(x, w) dw = 2 W c
     spec = sc.make_symbol("band_constant", c=1.0, W=0.5)
     grid = sc.make_grid(4)
-    k = _quiet_kernel(spec, grid)
+    k = _kernel(spec, grid)
     assert np.abs(np.diag(k) - 1.0).max() < 1e-12
 
 
@@ -67,7 +65,7 @@ def test_band_kernel_sinc_profile():
     # closed-form Fourier integral of the box: c sin(2 pi W z) / (pi z)
     spec = sc.make_symbol("band_constant", c=1.0, W=0.25)
     grid = sc.make_grid(4)
-    k = _quiet_kernel(spec, grid)
+    k = _kernel(spec, grid)
     x = grid.x_points()
 
     def sinc_band(z):
@@ -81,7 +79,7 @@ def test_band_kernel_sinc_profile():
 
     # halving h_omega quarters the interior error (second-order quadrature)
     g2 = sc.make_grid(4, h_omega=0.5 / grid.span)
-    k2 = _quiet_kernel(spec, g2)
+    k2 = _kernel(spec, g2)
     err2 = np.abs(k2[i, :] - sinc_band(z))[keep].max()
     assert err2 < 0.3 * err
 
@@ -91,7 +89,7 @@ def test_roundtrip_symbol_kernel_symbol(name):
     spec = sc.make_symbol(name)
     grid = sc.make_grid(4)
     ref = sc.sample_symbol(spec, grid)
-    rec = _quiet_recover(_quiet_kernel(spec, grid), grid)
+    rec = _quiet_recover(_kernel(spec, grid), grid)
     rel = np.linalg.norm(rec.sigma - ref) / np.linalg.norm(ref)
     assert rel <= 1e-8
     assert rec.max_imag <= 1e-8
@@ -107,27 +105,12 @@ def test_zero_kernel_gives_zero_symbol():
 def test_cosine_gauss_gaussian_profile_recovered():
     spec = sc.make_symbol("cosine_gauss", w=1.0)
     grid = sc.make_grid(4)
-    rec = _quiet_recover(_quiet_kernel(spec, grid), grid)
+    rec = _quiet_recover(_kernel(spec, grid), grid)
     x = grid.x_points()
     om = grid.omega_points()
     ref = 0.5 * (1 + np.cos(2 * np.pi * x[:, None])) * np.exp(-om[None, :] ** 2 / 2)
     rel = np.linalg.norm(rec.sigma - ref) / np.linalg.norm(ref)
     assert rel <= 1e-6
-
-
-def test_truncation_warning_for_wide_symbol():
-    spec = sc.make_symbol("cosine_gauss", w=5.0)       # sigma(+-8) ~ 0.28
-    grid = sc.make_grid(2)
-    with pytest.warns(TruncationWarning):
-        sc.symbol_to_kernel(spec, grid)
-
-
-def test_no_truncation_warning_for_compact_band():
-    spec = sc.make_symbol("band_constant", c=1.0, W=0.5)
-    grid = sc.make_grid(2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", TruncationWarning)
-        sc.symbol_to_kernel(spec, grid)
 
 
 def test_envelope_check_band_passes_with_spec_envelope():
@@ -169,10 +152,24 @@ def test_envelope_scaling_doubles_margin():
     assert doubled.worst_margin == pytest.approx(2.0 * base.worst_margin, rel=1e-12)
 
 
-def test_two_symbol_kernel_reduces_to_plain_kernel():
-    spec = sc.make_symbol("cosine_gauss")
-    grid = sc.make_grid(2)
-    vals = sc.sample_symbol(spec, grid)
-    a = kernel_from_values(vals, grid)
-    b = two_symbol_kernel(vals, np.ones_like(vals), grid)
-    assert np.abs(a - b).max() < 1e-12
+
+def dense_worst_margin(spec, env, grid):
+    """Reference: min psi(z) / |k|^2 over every dense kernel entry with |z| <= span/2."""
+    kernel = _kernel(spec, grid)
+    x = grid.x_points()
+    z = x[:, None] - x[None, :]
+    k2 = np.abs(kernel) ** 2
+    keep = (np.abs(z) <= grid.span / 2.0) & (k2 > 0)
+    return float((env.psi(z[keep]) / k2[keep]).min())
+
+
+@pytest.mark.parametrize("grid_kw", [{}, {"padding": 2.25}, {"h_omega": 0.5 / 18.0}],
+                         ids=["blocks", "m=1", "off-lattice"])
+@pytest.mark.parametrize("alpha", [2, 8])
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_envelope_check_margin_matches_dense_kernel(name, alpha, grid_kw):
+    spec = sc.make_symbol(name)
+    grid = sc.make_grid(alpha, **grid_kw)
+    env = sc.default_envelope(spec)
+    expect = dense_worst_margin(spec, env, grid)
+    assert sc.envelope_check(spec, env, grid).worst_margin == pytest.approx(expect, rel=1e-12)
