@@ -1,7 +1,7 @@
 """Command-line interface: config parsing, dispatch, report serialization.
 
 Exit codes: 0 success, 2 config error, 3 config read error, 4 report write
-error, 5 numerical failure during the run.
+error, 5 numerical failure during the run (out of memory included).
 
 A run is configured by a JSON document, command-line flags, or both; flags
 override document fields.  The resolved config is echoed into every report.
@@ -344,8 +344,7 @@ def _solution_report(command: str, sol) -> SweepReport:
 def _run_waterfill(cfg: RunConfig) -> SweepReport:
     if not cfg.eigs:
         raise ConfigFieldError("eigs", "waterfill needs an explicit eigenvalue list")
-    return _solution_report("waterfill", waterfill_discrete(
-        sorted(cfg.eigs, reverse=True), cfg.power_S, cfg.alpha))
+    return _solution_report("waterfill", waterfill_discrete(cfg.eigs, cfg.power_S, cfg.alpha))
 
 
 def _run_stability(cfg: RunConfig) -> SweepReport:
@@ -438,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except SzegocapError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     if report.records:

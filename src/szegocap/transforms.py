@@ -88,9 +88,16 @@ def envelope_check(spec: SymbolSpec, env: KernelEnvelope, grid: Grid,
     if s_samples is None:
         s_samples = np.logspace(np.log10(max(4 * grid.h_x, 0.25)),
                                 np.log10(grid.span / 2.0), 12)
-    zq = np.linspace(0.0, 8.0 * grid.span, 200001)
+    # trapezoid on [0, 8 span]: step 1/1024 up to z = 8, then a geometric grid
+    # of ratio 1 + 1/8192 that continues it; the step at each z, and so the
+    # error against the 1e-9 slack, does not depend on the span
+    z_max = 8.0 * grid.span
+    z_head = min(8.0, z_max)
+    zq = np.concatenate([
+        np.linspace(0.0, z_head, int(np.ceil(1024 * z_head)) + 1),
+        np.geomspace(z_head, z_max, int(np.ceil(8192 * np.log(z_max / z_head))) + 1)[1:]])
     psi_q = env.psi(zq)
-    seg = 0.5 * (psi_q[1:] + psi_q[:-1]) * (zq[1] - zq[0])
+    seg = 0.5 * (psi_q[1:] + psi_q[:-1]) * np.diff(zq)
     tail_cum = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     tail_results = []
     tail_ok = True

@@ -3,7 +3,7 @@ the rate functions r, p together with their smooth surrogates f_eps.
 
 Conventions: for water level B and per-unit-time power budget S,
 
-    capacity рate = (1/alpha) sum_{B lam_k >= 1} log(B lam_k)
+    capacity rate = (1/alpha) sum_{B lam_k >= 1} log(B lam_k)
     power         = (1/alpha) sum_{B lam_k >= 1} (B - 1/lam_k)
 
 and the continuous analogue replaces the sum by the (x, omega) integral of
@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import DomainError, NoCapacityError, UnsupportedSymbolError
 from .families import SymbolSpec, eval_symbol
-
-B_REL_TOL = 1e-12
 
 
 def rate_log(x) -> np.ndarray:
@@ -105,51 +103,67 @@ class WaterfillSolution:
     active_count: int
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) in numpy, not BLAS: the same bits for any BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _solve_level(values: np.ndarray, weights: np.ndarray, S: float) -> WaterfillSolution:
     """Shared solver: values (positive, any order) with quadrature weights.
 
     power(B) = sum_{B v >= 1} w (B - 1/v),  rate(B) = sum_{B v >= 1} w log(B v).
-    B is found by bisection (doubled upper bracket) to relative B_REL_TOL.
+    B solves power(B) = S in closed form on the active set, which a sort-free
+    breakpoint search over inv = 1/v finds (Michelot 1986; Kiwiel 2008).  The
+    linear model on the known-active entries and the candidates has a root
+    Bm >= B, and every other entry has inv >= Bm.  Each round drops the
+    candidates with inv > Bm (if none, B = Bm), then splits the rest at their
+    median p: if power(p) < S every inv <= p is active, else every inv >= p is
+    inactive.  Each round halves the candidates, so a solve is O(n).
     """
-    order = np.argsort(values)[::-1]
-    v = values[order]
-    w = weights[order]
-    inv = 1.0 / v                                  # ascending
-    cum_w = np.concatenate([[0.0], np.cumsum(w)])
-    cum_winv = np.concatenate([[0.0], np.cumsum(w * inv)])
-    cum_wlog = np.concatenate([[0.0], np.cumsum(w * np.log(v))])
-
-    def power(B: float) -> float:
-        k = int(np.searchsorted(inv, B, side="right"))
-        return B * cum_w[k] - cum_winv[k]
-
-    v_max = float(v[0])
+    with np.errstate(over="ignore"):       # 1/v = inf never activates
+        inv = 1.0 / values
+    w = weights
+    top = int(np.argmin(inv))
+    lo = float(inv[top])                   # B >= 1/v_max
     if S == 0.0:
-        return WaterfillSolution(B=1.0 / v_max, capacity_rate=0.0,
+        return WaterfillSolution(B=lo, capacity_rate=0.0,
                                  power_achieved=0.0, active_count=0)
-
-    lo = 1.0 / v_max
-    hi = 2.0 * lo
-    while power(hi) < S:
-        hi *= 2.0
-    while (hi - lo) > B_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if power(mid) < S:
-            lo = mid
-        else:
-            hi = mid
-    B = 0.5 * (lo + hi)
-
-    k = int(np.searchsorted(inv, B, side="right"))
-    rate = float(np.log(B) * cum_w[k] + cum_wlog[k])
-    active = int(np.searchsorted(inv, B, side="left"))   # strictly B v > 1
-    return WaterfillSolution(B=float(B), capacity_rate=rate,
-                             power_achieved=float(power(B)), active_count=active)
+    hi = lo + S / float(w[top])            # B <= hi, where the top entry alone takes S
+    W = WI = 0.0                           # sums of w and w inv over the known active
+    known_inv, known_w = [], []
+    while True:
+        B = max(lo, (S + WI + _dot(w, inv)) / (W + float(w.sum())))
+        keep = inv <= min(hi, B)
+        if keep.all():
+            break
+        inv, w = inv[keep], w[keep]
+        if inv.size == 0:
+            continue
+        p = np.partition(inv, inv.size // 2)[inv.size // 2]
+        low = inv <= p
+        inv_low, w_low = inv[low], w[low]
+        W_low, WI_low = W + float(w_low.sum()), WI + _dot(w_low, inv_low)
+        if W_low * p - WI_low < S:         # power(p) < S: every inv <= p is active
+            known_inv.append(inv_low)
+            known_w.append(w_low)
+            W, WI = W_low, WI_low
+            inv, w = inv[~low], w[~low]
+        else:                              # B <= p: every inv >= p is inactive
+            below = inv_low < p
+            inv, w = inv_low[below], w_low[below]
+    inv = np.concatenate(known_inv + [inv])
+    w = np.concatenate(known_w + [w])
+    act = inv < B                          # strictly B v > 1
+    return WaterfillSolution(B=float(B),
+                             capacity_rate=_dot(w[act], np.log(B / inv[act])),
+                             power_achieved=float(B * w.sum() - _dot(w, inv)),
+                             active_count=int(np.count_nonzero(act)))
 
 
 def waterfill_discrete(spectrum, S: float, alpha: float) -> WaterfillSolution:
     """Water-fill a discrete spectrum against the per-unit-time budget S.
 
+    The eigenvalues may come in any order, each with weight 1/alpha.
     Nonpositive eigenvalues never activate and are ignored; a spectrum with no
     positive eigenvalue raises NoCapacityError, and a non-finite eigenvalue
     DomainError.
@@ -203,18 +217,17 @@ def waterfill_symbol(spec: SymbolSpec, S: float,
     omega, w_om = quad.omega_nodes_weights()
     if spec.time_invariant:
         sigma = np.asarray(eval_symbol(spec, 0.0, omega), dtype=float)[None, :]
-        w_x = np.array([1.0])
+        w_x = 1.0
     else:
         x = quad.x_nodes()
         sigma = np.asarray(eval_symbol(spec, x[:, None], omega[None, :]), dtype=float)
-        w_x = np.full(x.size, 1.0 / x.size)
+        w_x = 1.0 / x.size
 
-    weights = (w_x[:, None] * w_om[None, :]).ravel()
-    values = sigma.ravel()
-    pos = values > 0.0
+    pos = sigma > 0.0
     if not np.any(pos):
         raise NoCapacityError("symbol is nonpositive everywhere on the quadrature grid")
-    return _solve_level(values[pos], weights[pos], float(S))
+    weights = np.broadcast_to(w_x * w_om, sigma.shape)[pos]
+    return _solve_level(sigma[pos], weights, float(S))
 
 
 def sup_abs_second_derivative(f, lo: float, hi: float, n: int = 400001) -> float:

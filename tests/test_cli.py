@@ -347,3 +347,15 @@ def test_non_finite_flags_exit_2(capsys, flags, field):
     code, out, err = run_cli(flags, capsys)
     assert code == 2
     assert repr(field) in err
+
+
+def test_out_of_memory_exits_5(monkeypatch, capsys):
+    # e.g. --quad-density 100000 asks numpy for 1.16 TiB; raise instead of allocating
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.16 TiB for an array")
+
+    monkeypatch.setattr(cli, "waterfill_symbol", exhausted)
+    code, out, err = run_cli(["capacity", "--family", "cosine_gauss",
+                              "--quad-density", "100000"], capsys)
+    assert code == 5
+    assert err.strip() == "numerical failure: out of memory: Unable to allocate 1.16 TiB for an array"

@@ -173,3 +173,23 @@ def test_envelope_check_margin_matches_dense_kernel(name, alpha, grid_kw):
     env = sc.default_envelope(spec)
     expect = dense_worst_margin(spec, env, grid)
     assert sc.envelope_check(spec, env, grid).worst_margin == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, params", [(272, {}), (576, {"W": 0.25})])
+def test_default_envelope_passes_its_tail_check_at_large_alpha(alpha, params):
+    # with a tail step that grows with the span, the trapezoid's over-estimate
+    # near the envelope's cap beats the 1e-9 slack from these alphas on; the
+    # tails must match adaptive quadrature, split at psi's kinks
+    from scipy.integrate import quad
+    spec = sc.make_symbol("band_constant", **params)
+    env = sc.default_envelope(spec)
+    grid = sc.make_grid(alpha)
+    report = sc.envelope_check(spec, env, grid)
+    assert report.tail_ok and report.passed
+    kinks = [1.0 / (2.0 * np.pi * spec.param_map["W"]), 1.0]
+    for s, tail, bound in report.tail_results:
+        pieces = sorted({s, 8.0 * grid.span, *(k for k in kinks if s < k)})
+        ref = 2.0 * sum(quad(lambda z: float(env.psi(z)), a, b, limit=500)[0]
+                        for a, b in zip(pieces, pieces[1:]))
+        assert tail == pytest.approx(ref, rel=2e-5)
+        assert tail <= bound

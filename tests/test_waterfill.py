@@ -1,12 +1,51 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import szegocap as sc
 from szegocap.errors import DomainError, NoCapacityError, UnsupportedSymbolError
 from szegocap.families import SymbolSpec, _REGISTRY
-from szegocap.waterfill import QuadratureConfig, power_gap, rate_log
+from szegocap.waterfill import QuadratureConfig, WaterfillSolution, power_gap, rate_log
+
+
+def bisect_level(values, weights, S):
+    """Oracle: the water level by bisection (doubled upper bracket) to
+    relative 1e-12 over sorted cumulative sums."""
+    order = np.argsort(values)[::-1]
+    v = values[order]
+    w = weights[order]
+    with np.errstate(over="ignore"):
+        inv = 1.0 / v                              # ascending
+    cum_w = np.concatenate([[0.0], np.cumsum(w)])
+    cum_winv = np.concatenate([[0.0], np.cumsum(w * inv)])
+    cum_wlog = np.concatenate([[0.0], np.cumsum(w * np.log(v))])
+
+    def power(B):
+        k = int(np.searchsorted(inv, B, side="right"))
+        return B * cum_w[k] - cum_winv[k]
+
+    if S == 0.0:
+        return WaterfillSolution(B=1.0 / v[0], capacity_rate=0.0,
+                                 power_achieved=0.0, active_count=0)
+    lo = 1.0 / v[0]
+    hi = 2.0 * lo
+    while power(hi) < S:
+        hi *= 2.0
+    while (hi - lo) > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if power(mid) < S:
+            lo = mid
+        else:
+            hi = mid
+    B = 0.5 * (lo + hi)
+    k = int(np.searchsorted(inv, B, side="right"))
+    return WaterfillSolution(B=float(B), capacity_rate=float(np.log(B) * cum_w[k] + cum_wlog[k]),
+                             power_achieved=float(power(B)),
+                             active_count=int(np.searchsorted(inv, B, side="left")))
 
 
 def test_hand_solved_equal_eigenvalues():
@@ -212,7 +251,146 @@ def test_f_eps_extension_insensitivity():
 @pytest.mark.parametrize("eigs", [[math.inf, 1.0], [math.nan, 1.0, 0.5],
                                   [1.0, -math.inf]])
 def test_non_finite_eigenvalues_raise(eigs):
-    # an infinite eigenvalue once left the bisection bracket at 0 forever, and
-    # a NaN was silently dropped
+    # an infinite eigenvalue would put the level at 1/inf = 0, and a NaN
+    # would be silently dropped
     with pytest.raises(DomainError):
         sc.waterfill_discrete(eigs, 1.0, 1.0)
+
+
+# --- the breakpoint solver against the bisection oracle ----------------------
+# Spectra are water-filled with alpha = their length, so the weights sum to 1.
+
+def solve(lam, S):
+    lam = np.asarray(lam, dtype=float)
+    return sc.waterfill_discrete(lam, S, float(lam.size))
+
+
+def power_error_bound(sol, S, weight):
+    """1e-10 relative, or what the rounding of B itself admits: power(B) = S
+    has condition number B W / S (W = active_count * weight, the active
+    weight), so no double B gets power(B) closer to S than about eps B W."""
+    return max(1e-10 * S, 8 * np.finfo(float).eps * sol.B * sol.active_count * weight)
+
+
+def assert_matches_oracle(lam, S):
+    lam = np.asarray(lam, dtype=float)
+    pos = lam[lam > 0.0]
+    sol = solve(lam, S)
+    ref = bisect_level(pos, np.full(pos.size, 1.0 / lam.size), S)
+    assert sol.B == pytest.approx(ref.B, rel=1e-11)
+    assert abs(sol.capacity_rate - ref.capacity_rate) <= 1e-10 * max(1.0, ref.capacity_rate)
+    ties = int(np.count_nonzero(np.abs(sol.B * pos - 1.0) <= 1e-10))
+    assert abs(sol.active_count - ref.active_count) <= ties
+    return sol
+
+
+exponents = st.floats(-3.0, 3.0, allow_nan=False)
+spectra = st.one_of(
+    st.lists(exponents, min_size=1, max_size=60),
+    st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=1, max_size=60),   # ties
+).map(lambda e: 10.0 ** np.array(e))
+
+
+@settings(derandomize=True, deadline=None)
+@given(spectra, st.floats(-6.0, 3.0))
+def test_power_achieved_matches_budget(lam, log_s):
+    S = 10.0 ** log_s
+    sol = solve(lam, S)
+    assert abs(sol.power_achieved - S) <= power_error_bound(sol, S, 1.0 / lam.size)
+
+
+@settings(derandomize=True, deadline=None)
+@given(spectra, st.floats(-6.0, 2.0), st.floats(1e-3, 1.0))
+def test_level_increasing_capacity_monotone_and_concave(lam, log_s, log_ratio):
+    # dC/dS = 1/B, so concavity is the tangent bound C(S') <= C(S) + (S' - S)/B(S)
+    budgets = 10.0 ** (log_s + log_ratio * np.arange(6))
+    sols = [solve(lam, S) for S in budgets]
+    assert all(b.B > a.B for a, b in zip(sols, sols[1:]))
+    assert all(b.capacity_rate >= a.capacity_rate for a, b in zip(sols, sols[1:]))
+    for S0, a in zip(budgets, sols):
+        for S1, b in zip(budgets, sols):
+            tangent = a.capacity_rate + (S1 - S0) / a.B
+            slack = 1e-12 * (abs(tangent) + b.capacity_rate + abs(S1 - S0) / a.B)
+            assert b.capacity_rate <= tangent + slack
+
+
+@settings(derandomize=True, deadline=None)
+@given(spectra, st.floats(-2.0, 2.0))
+def test_matches_bisection_oracle(lam, log_s):
+    assert_matches_oracle(lam, 10.0 ** log_s)
+
+
+@pytest.mark.parametrize("lam", [
+    [2.0] * 7 + [0.5] * 5 + [3.0] * 2,                # ties
+    [3.0],                                            # a single value
+    10.0 ** np.linspace(-150.0, 150.0, 301),          # 300 decades
+    1.9 ** -np.arange(2000.0),                        # geometric; 1/v overflows, v underflows
+], ids=["ties", "single", "300_decades", "geometric_1.9"])
+@pytest.mark.parametrize("S", [1e-2, 0.37, 1.0, 5.0, 1e2])
+def test_edge_spectra_match_oracle(lam, S):
+    sol = assert_matches_oracle(lam, S)
+    assert abs(sol.power_achieved - S) <= power_error_bound(sol, S, 1.0 / len(lam))
+
+
+@pytest.mark.parametrize("S", np.linspace(0.0, 5.0, 21)[1:])
+def test_monotonicity_budgets_match_oracle(S):
+    # the budgets of test_monotonicity_in_budget; at some of them the candidate
+    # set empties after the linear-model step and the level comes from the
+    # known active set alone
+    lam = np.array([3.0, 2.0, 1.0, 0.5])
+    sol = sc.waterfill_discrete(lam, S, 2.0)
+    ref = bisect_level(lam, np.full(4, 0.5), S)
+    assert sol.B == pytest.approx(ref.B, rel=1e-11)
+    assert sol.capacity_rate == pytest.approx(ref.capacity_rate, rel=1e-10)
+    assert sol.active_count == ref.active_count
+    assert sol.power_achieved == pytest.approx(S, rel=1e-14)
+
+
+def test_level_is_exact_where_bisection_is_not():
+    # at S = 1e-6 the bisection's 1e-12 bracket on B leaves power off S by
+    # about 1e-12 B W / S; the exact level is off by rounding only
+    lam = np.array([1.0, 0.9, 0.5])
+    S = 1e-6
+    sol = sc.waterfill_discrete(lam, S, 1.0)
+    ref = bisect_level(lam, np.ones(3), S)
+    assert abs(sol.power_achieved - S) <= 1e-9 * S
+    assert abs(ref.power_achieved - S) > abs(sol.power_achieved - S)
+
+
+def test_symbol_matches_bisection_oracle():
+    spec = sc.make_symbol("cosine_gauss", w=1.0)
+    quad = QuadratureConfig(density=64)
+    omega, w_om = quad.omega_nodes_weights()
+    x = quad.x_nodes()
+    sigma = sc.eval_symbol(spec, x[:, None], omega[None, :]).ravel()
+    weights = np.broadcast_to(w_om / x.size, (x.size, omega.size)).ravel()
+    pos = sigma > 0.0
+    sigma, weights = sigma[pos], weights[pos]
+    for S in (1e-6, 0.25, 1.0, 4.0):
+        sol = sc.waterfill_symbol(spec, S, quad)
+        ref = bisect_level(sigma, weights, S)
+        assert sol.B == pytest.approx(ref.B, rel=1e-11)
+        assert sol.capacity_rate == pytest.approx(ref.capacity_rate, rel=1e-9)
+        assert sol.power_achieved == pytest.approx(S, rel=1e-10)
+
+
+def test_level_where_budget_is_below_rounding_of_level():
+    # B = 1/v + S/W rounds to 1/v, and the linear model may round below it;
+    # the top entry must stay a candidate, or the active set would empty
+    lam = np.full(24, 3e-14)
+    sol = sc.waterfill_discrete(lam, 1e-6, 24.0)
+    assert sol.B == pytest.approx(1.0 / 3e-14, rel=1e-15)
+    assert sol.capacity_rate == pytest.approx(0.0, abs=1e-15)
+    assert sol.active_count in (0, 24)
+
+
+def test_symbol_waterfill_memory():
+    # the default quadrature has 256 x 4,097 nodes, 8.4 MB per float array
+    spec = sc.make_symbol("cosine_gauss")
+    tracemalloc.start()
+    try:
+        sc.waterfill_symbol(spec, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6, f"traced peak {peak / 1e6:.1f} MB > 64 MB"
