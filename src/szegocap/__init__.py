@@ -16,8 +16,8 @@ from .harness import (EpsSchedule, FitResult, SweepRecord, SweepReport,
                       fit_loglog, run_convergence_sweep,
                       run_hs_boundary_check, run_stability_check,
                       run_symbol_calculus_check, run_trace_norm_scaling)
-from .operators import (DiscreteOperator, SymbolFunctionSpec, adjoint, compose,
-                        hermitize, quantize, window_block)
+from .operators import (DiscreteOperator, adjoint, compose, hermitize, quantize,
+                        window_block)
 from .spectral import eigh
 from .transforms import EnvelopeReport, envelope_check
 from .waterfill import (QuadratureConfig, WaterfillSolution, build_f_eps,

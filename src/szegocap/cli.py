@@ -16,7 +16,7 @@ import sys
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .errors import ConfigurationError, SzegocapError
+from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import make_symbol
 from .grid import DEFAULT_H_X, DEFAULT_OMEGA_MAX, DEFAULT_PADDING, make_grid
 from .harness import (EpsSchedule, SweepReport, run_convergence_sweep,
@@ -205,6 +205,11 @@ def validate_config(doc: dict) -> RunConfig:
         key = "eps" if mode == "fixed" else "delta"
         cfg.eps_schedule = {"mode": mode, key: _number(f"eps_schedule.{key}",
                                                       es.get(key, EpsSchedule.delta), "positive")}
+        if mode == "fixed":
+            try:
+                build_f_eps("log", cfg.eps_schedule["eps"])
+            except DomainError as exc:
+                raise ConfigFieldError("eps_schedule.eps", str(exc)) from exc
 
     cfg.output = None
     out = _section(doc, "output", {"path", "format"}, " {path, format}")

@@ -2,7 +2,9 @@
 
 Each family provides vectorized evaluation and a kernel envelope psi with
 |k(x, x-z)|^2 <= psi(z) plus a tail constant c such that the tail integral of
-psi beyond s is bounded by c/s.
+psi beyond s is bounded by c/s.  The kernels come from a grid whose frequency
+axis stops at omega_max, and their truncation ringing grows with
+|sigma(., omega_max)|, so default_envelope takes the grid's omega_max.
 
 Families:
   band_constant      c * indicator(|omega| <= W); time-invariant.  Jump points
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 _JUMP_TOL = 1e-9
+ENVELOPE_Z_MAX = 400.0      # reach of the envelope scans and integrals
 
 
 @dataclass(frozen=True)
@@ -260,17 +263,18 @@ def sample_symbol(spec: SymbolSpec, grid, rows=slice(None)) -> np.ndarray:
     return np.asarray(eval_symbol(spec, x, omega), dtype=float)
 
 
-def default_envelope(spec: SymbolSpec, omega_max: float = 8.0,
-                     z_max: float = 400.0, n_scan: int = 200001) -> KernelEnvelope:
-    """Family envelope describing the kernels the quantizer actually builds.
+def default_envelope(spec: SymbolSpec, omega_max: float) -> KernelEnvelope:
+    """Family envelope describing the kernels the quantizer builds on a grid
+    with band edge omega_max.
 
     The analytic magnitude bound is widened by the frequency-truncation
     ringing floor |sigma(., +-omega_max)| / (pi max(|z|, 1)) and a fixed
     float-roundoff floor, so symbols with slowly decaying frequency tails
     (or super-polynomially small true kernels) still satisfy the pointwise
     bound on discretely assembled kernels.  tail_constant is max over a
-    log-spaced s scan of s * tail(s) for the widened psi; beyond z_max the
-    tail continues psi(z_max) as (z_max / z)^2, the slowest family decay.
+    log-spaced s scan of s * tail(s) for the widened psi; beyond
+    z_max = ENVELOPE_Z_MAX the tail continues psi(z_max) as (z_max / z)^2,
+    the slowest family decay.
     """
     fam, params = _checked(spec)
     psi_true = fam.psi(params)
@@ -284,18 +288,19 @@ def default_envelope(spec: SymbolSpec, omega_max: float = 8.0,
         floor = 2.0 * edge / (np.pi * np.maximum(np.abs(z), 1.0)) + roundoff
         return (np.sqrt(psi_true(z)) + floor) ** 2
 
-    z = np.linspace(0.0, z_max, n_scan)
+    z = np.linspace(0.0, ENVELOPE_Z_MAX, 200001)
     vals = psi(z)
     seg = 0.5 * (vals[1:] + vals[:-1]) * (z[1] - z[0])
-    tail_one_sided = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) + z_max * vals[-1]
-    s_grid = np.logspace(-2, np.log10(z_max / 2.0), 600)
+    tail_one_sided = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) \
+        + ENVELOPE_Z_MAX * vals[-1]
+    s_grid = np.logspace(-2, np.log10(ENVELOPE_Z_MAX / 2.0), 600)
     tails = 2.0 * np.interp(s_grid, z, tail_one_sided)
     c = float(np.max(s_grid * tails)) * (1.0 + 1e-9)
     return KernelEnvelope(psi=psi, tail_constant=c)
 
 
-def envelope_l1_norm(env: KernelEnvelope, z_max: float = 400.0, n: int = 400001) -> float:
-    """Trapezoidal L1 norm of psi over [-z_max, z_max]."""
-    z = np.linspace(0.0, z_max, n)
-    vals = env.psi(z)
-    return 2.0 * float(np.trapezoid(vals, z))
+def envelope_integral(env: KernelEnvelope, lo: float = 0.0) -> float:
+    """Trapezoidal integral of psi over lo <= |z| <= lo + ENVELOPE_Z_MAX: the
+    L1 norm of psi at lo = 0, its two-sided tail beyond lo otherwise."""
+    z = np.linspace(lo, lo + ENVELOPE_Z_MAX, 400001)
+    return 2.0 * float(np.trapezoid(env.psi(z), z))

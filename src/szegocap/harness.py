@@ -17,10 +17,10 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConfigurationError, DomainError, SzegocapError
-from .families import (SymbolSpec, default_envelope, envelope_l1_norm,
+from .families import (SymbolSpec, default_envelope, envelope_integral,
                        sample_symbol)
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, Grid, make_grid
-from .operators import (SymbolFunctionSpec, assemble, hermitize, order_differences,
+from .operators import (assemble, hermitize, order_differences, product_deviations,
                         quantize, window_block)
 from .spectral import eigh_matrix, window_trace
 from .transforms import envelope_check, kernel_from_values
@@ -234,7 +234,6 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
 
 def run_stability_check(spec: SymbolSpec, f, alphas,
                         grid_kw: dict | None = None,
-                        f_second_sup: float | None = None,
                         padding_tol: float = 1e-8) -> SweepReport:
     """Interval-section stability: (1/alpha) |tr_a(f(PLP) - f(L))| against the
     reference envelope ||f''||_inf log(alpha)/alpha.
@@ -242,10 +241,10 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
     The kernel envelope tail beyond the padding must not exceed padding_tol;
     slowly decaying families need an explicitly loosened tolerance.
     """
-    padding = (grid_kw or {}).get("padding", DEFAULT_PADDING)
-    env = default_envelope(spec)
-    z = np.linspace(padding, padding + 400.0, 400001)
-    tail = 2.0 * float(np.trapezoid(env.psi(z), z))
+    grid_kw = grid_kw or {}
+    padding = grid_kw.get("padding", DEFAULT_PADDING)
+    env = default_envelope(spec, grid_kw.get("omega_max", DEFAULT_OMEGA_MAX))
+    tail = envelope_integral(env, lo=padding)
     if tail > padding_tol:
         raise ConfigurationError(
             f"envelope tail beyond padding {padding} is {tail:.3e} > "
@@ -272,8 +271,7 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
 
         lo = min(0.0, float(lam_full[-1]))
         hi = max(0.0, float(lam_full[0]))
-        f2 = f_second_sup if f_second_sup is not None else \
-            sup_abs_second_derivative(f, lo, hi)
+        f2 = sup_abs_second_derivative(f, lo, hi)
         bound = f2 * math.log(rec.alpha) / rec.alpha if rec.alpha > 1 else math.inf
         rec.extra.update({
             "stability_abs": abs(stab_signed),
@@ -293,22 +291,26 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
                           grid_kw: dict | None = None) -> SweepReport:
     """Hilbert-Schmidt growth: ||P L||_I2^2 <= alpha ||psi||_1 and the log-law
     fit of the cross term ||P L (1-P)||_I2^2."""
-    env = default_envelope(spec)
-    env_report = envelope_check(spec, env, make_grid(_check_alphas(alphas)[0], **(grid_kw or {})))
+    first_grid = make_grid(_check_alphas(alphas)[0], **(grid_kw or {}))
+    env = default_envelope(spec, first_grid.omega_max)
+    env_report = envelope_check(spec, env, first_grid)
     if not env_report.passed:
         failed = "pointwise" if not env_report.pointwise_ok else "tail"
         raise ConfigurationError(
             f"default envelope fails its own {failed} check (worst margin "
             f"{env_report.worst_margin:.3e}); cannot certify HS bounds")
-    psi_l1 = envelope_l1_norm(env)
+    psi_l1 = envelope_integral(env)
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
         mask = grid.window_mask()
         op = quantize(spec, grid)
         rec.hermitian_defect = op.hermitian_defect
-        rows = assemble(op.blocks, mask)
-        hs_full_sq = float(np.sum(np.abs(rows) ** 2))
-        hs_cross_sq = float(np.sum(np.abs(rows[:, ~mask]) ** 2))
+        m, b, _ = op.blocks.shape
+        # by Parseval over the block index, row u b + r has the squared norm
+        # (1/m) sum_k ||row r of A_k||^2 for every u
+        row_sq = (np.abs(op.blocks) ** 2).sum(axis=(0, 2)) / m
+        hs_full_sq = float(np.bincount(np.flatnonzero(mask) % b, minlength=b) @ row_sq)
+        hs_cross_sq = float(np.sum(np.abs(assemble(op.blocks, mask, ~mask)) ** 2))
         rec.hs_cross_norm = hs_cross_sq
         rec.extra.update({
             "hs_full_sq": hs_full_sq,
@@ -343,15 +345,9 @@ def run_symbol_calculus_check(spec: SymbolSpec, s_values, alphas,
     s_values = [float(s) for s in s_values]
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
-        mask = grid.window_mask()
-        a_sigma = quantize(spec, grid)
-        rec.hermitian_defect = a_sigma.hermitian_defect
-        for s in s_values:
-            a_exp = quantize(SymbolFunctionSpec(spec, "exp_i2pi_s", s=s), grid)
-            a_prod = quantize(SymbolFunctionSpec(spec, "product_sigma_exp", s=s), grid)
-            # Fourier blocks multiply and subtract like their operators
-            rec.q_alpha[s] = _trace_norm(
-                assemble(a_sigma.blocks @ a_exp.blocks - a_prod.blocks, cols=mask))
+        rec.hermitian_defect = quantize(spec, grid).hermitian_defect
+        for s, blocks in zip(s_values, product_deviations(spec, s_values, grid)):
+            rec.q_alpha[s] = _trace_norm(assemble(blocks, cols=grid.window_mask()))
 
     report, _ = _sweep("check-product", alphas, grid_kw, measure, fits={
         f"q_s{s:g}": lambda r, s=s: r.q_alpha[s] for s in s_values})

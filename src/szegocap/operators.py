@@ -11,11 +11,6 @@ block index turns it into a block-diagonal matrix with these blocks, by a
 unitary change of basis.  Products, adjoints, Hermitian parts, spectra and
 operator norms therefore act block by block.  A grid without that shift
 symmetry gives m = 1, whose single block is the dense matrix itself.
-
-Symbols that tend to 1 at large frequency (complex exponentials e^{i 2 pi s
-sigma}) are quantized as identity plus the quantization of their decaying
-part, so the constant symbol maps to the identity matrix (exactly when m has
-no prime factor above 5, which covers the default grids).
 """
 
 from __future__ import annotations
@@ -24,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, DomainError, GridMismatchError
+from .errors import AliasingError, GridMismatchError
 from .families import SymbolSpec, sample_symbol
 from .grid import Grid
 
-_POINTWISE_MAPS = ("identity", "exp_i2pi_s", "product_sigma_exp")
 _LATTICE_TOL = 1e-9
 
 
@@ -50,21 +44,6 @@ class DiscreteOperator:
     @property
     def matrix(self) -> np.ndarray:
         return assemble(self.blocks)
-
-
-@dataclass(frozen=True)
-class SymbolFunctionSpec:
-    """A symbol together with a pointwise map applied before quantization."""
-    base: SymbolSpec
-    pointwise_map: str = "identity"
-    s: float | None = None
-
-    def __post_init__(self):
-        if self.pointwise_map not in _POINTWISE_MAPS:
-            raise DomainError(f"unknown pointwise map {self.pointwise_map!r}; "
-                              f"known: {_POINTWISE_MAPS}")
-        if self.pointwise_map in ("exp_i2pi_s", "product_sigma_exp") and self.s is None:
-            raise DomainError(f"pointwise map {self.pointwise_map!r} requires s")
 
 
 def assemble(blocks: np.ndarray, rows=None, cols=None) -> np.ndarray:
@@ -145,18 +124,6 @@ def _check_aliasing(grid: Grid) -> None:
             f"grid too coarse: 2 * h_x * omega_max = {2 * grid.h_x * grid.omega_max:.6f} > 1")
 
 
-def _mapped_values(sfs: SymbolFunctionSpec, sigma: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Mapped symbol samples and whether an identity matrix must be added."""
-    if sfs.pointwise_map == "identity":
-        return sigma, False
-    phase = np.exp(2j * np.pi * sfs.s * sigma)
-    if sfs.pointwise_map == "exp_i2pi_s":
-        # e^{i 2 pi s sigma} = 1 + (e^{i 2 pi s sigma} - 1); the constant-1 part
-        # quantizes exactly to the identity operator
-        return phase - 1.0, True
-    return sigma * phase, False
-
-
 def _fourier_blocks(values: np.ndarray, grid: Grid, col_values=1.0) -> np.ndarray:
     """Fourier blocks of the kernel with amplitude V(x, omega) U(y, omega),
     A_k[r, s] = h_x m sum_{q = -k mod m} w_q V_r[q] U_s[q] e^{-2 pi i q (r - s) / n_x}.
@@ -187,16 +154,11 @@ def _fourier_blocks(values: np.ndarray, grid: Grid, col_values=1.0) -> np.ndarra
     return (grid.h_x * m) * blocks
 
 
-def quantize(sfs: SymbolFunctionSpec | SymbolSpec, grid: Grid) -> DiscreteOperator:
-    """Nystrom operator of the quantized (mapped) symbol: h_x * kernel (+ identity)."""
-    if isinstance(sfs, SymbolSpec):
-        sfs = SymbolFunctionSpec(base=sfs)
+def quantize(spec: SymbolSpec, grid: Grid) -> DiscreteOperator:
+    """Nystrom operator of the quantized symbol: h_x * kernel."""
     _check_aliasing(grid)
-    b = _block_size(sfs.base, grid)
-    values, add_identity = _mapped_values(sfs, sample_symbol(sfs.base, grid, rows=slice(b)))
-    blocks = _fourier_blocks(values, grid)
-    if add_identity:
-        blocks += np.eye(b)
+    sigma = sample_symbol(spec, grid, rows=slice(_block_size(spec, grid)))
+    blocks = _fourier_blocks(sigma, grid)
     return DiscreteOperator(blocks=blocks, grid=grid, hermitian_defect=skew_norm(blocks))
 
 
@@ -211,6 +173,25 @@ def order_differences(spec: SymbolSpec, s: float, grid: Grid) -> tuple[np.ndarra
     tau = np.exp(2j * np.pi * s * sigma)
     return (_fourier_blocks(np.ones_like(sigma), grid, tau) - _fourier_blocks(tau, grid),
             _fourier_blocks(sigma, grid, tau) - _fourier_blocks(sigma * tau, grid))
+
+
+def product_deviations(spec: SymbolSpec, s_values, grid: Grid):
+    """Fourier blocks of L_sigma L_tau - L_{sigma tau}, tau = e^{i 2 pi s sigma},
+    for each s in s_values in turn, from one sample of sigma.
+
+    tau tends to 1 at large frequency, so L_tau is quantized as identity plus
+    the quantization of its decaying part tau - 1.  The constant symbol then
+    maps to identity blocks, and s = 0 gives exactly zero blocks.
+    """
+    _check_aliasing(grid)
+    b = _block_size(spec, grid)
+    sigma = sample_symbol(spec, grid, rows=slice(b))
+    a_sigma = _fourier_blocks(sigma, grid)
+    for s in s_values:
+        tau = np.exp(2j * np.pi * s * sigma)
+        # Fourier blocks multiply and subtract like their operators
+        yield a_sigma @ (_fourier_blocks(tau - 1.0, grid) + np.eye(b)) \
+            - _fourier_blocks(sigma * tau, grid)
 
 
 def compose(a: DiscreteOperator, b: DiscreteOperator) -> DiscreteOperator:

@@ -80,13 +80,14 @@ def report_json(report: SweepReport) -> str:
 
 
 def export_operator(op, path: str) -> str:
-    """Debug export of an operator matrix: .npy binary, or CSV otherwise.
+    """Debug export of a DiscreteOperator's dense matrix: .npy binary, or CSV
+    otherwise.
 
     Complex matrices go to CSV as interleaved real/imag columns (a float64
     view); load back with np.loadtxt(path, delimiter=',').view(complex).
     """
     import numpy as np
-    matrix = op.matrix if hasattr(op, "matrix") else np.asarray(op)
+    matrix = op.matrix
     if path.endswith(".npy"):
         np.save(path, matrix)
         return path

@@ -59,28 +59,18 @@ _H_TAGS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def build_f_eps(h, eps: float, support_hi: float = 16.0,
-                roll_width: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+def build_f_eps(h: str, eps: float) -> Callable[[np.ndarray], np.ndarray]:
     """Smooth surrogate f_eps(x) = h(x) * step((x-1)/eps), rolled off to zero
-    above support_hi so the result has compact support.
+    on [16, 17] so the result has compact support.
 
-    h may be a tag ('log', 'power_gap'), a polynomial coefficient sequence
-    (highest degree first), or a callable.  f_eps agrees with h(x) * chi_[1,inf)
-    exactly for x <= 1 and 1 + eps <= x <= support_hi.
+    h is a tag, 'log' or 'power_gap'.  f_eps agrees with h(x) * chi_[1,inf)
+    exactly for x <= 1 and 1 + eps <= x <= 16, so eps must lie in (0, 15).
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    if support_hi <= 1.0 + eps:
-        raise DomainError("support_hi must exceed 1 + eps")
-    if callable(h):
-        h_fn = h
-    elif isinstance(h, str):
-        if h not in _H_TAGS:
-            raise DomainError(f"unknown h tag {h!r}; known: {sorted(_H_TAGS)}")
-        h_fn = _H_TAGS[h]
-    else:
-        coeffs = np.asarray(h, dtype=float)
-        h_fn = lambda x: np.polyval(coeffs, x)
+    if not 0.0 < eps < 15.0:
+        raise DomainError(f"eps must lie in (0, 15), got {eps}")
+    if h not in _H_TAGS:
+        raise DomainError(f"unknown h tag {h!r}; known: {sorted(_H_TAGS)}")
+    h_fn = _H_TAGS[h]
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -89,7 +79,7 @@ def build_f_eps(h, eps: float, support_hi: float = 16.0,
         if np.any(pos):
             xp = x[pos]
             out[pos] = (h_fn(xp) * smoothstep((xp - 1.0) / eps)
-                        * (1.0 - smoothstep((xp - support_hi) / roll_width)))
+                        * (1.0 - smoothstep(xp - 16.0)))
         return out
 
     return f
@@ -230,9 +220,9 @@ def waterfill_symbol(spec: SymbolSpec, S: float,
     return _solve_level(sigma[pos], weights, float(S))
 
 
-def sup_abs_second_derivative(f, lo: float, hi: float, n: int = 400001) -> float:
-    """Sup norm of f'' on [lo, hi] by central second differences on a dense grid."""
-    xs = np.linspace(lo, hi, n)
+def sup_abs_second_derivative(f, lo: float, hi: float) -> float:
+    """Sup norm of f'' on [lo, hi] by central second differences on 400,001 points."""
+    xs = np.linspace(lo, hi, 400001)
     h = xs[1] - xs[0]
     v = np.asarray(f(xs), dtype=float)
     d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2

@@ -1,8 +1,12 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import szegocap as sc
+from szegocap.families import sample_symbol
+from szegocap.operators import (DiscreteOperator, _block_size, _fourier_blocks,
+                                skew_norm)
 
 # padding dominates this grid: n_x = 1664 points against a 128-point window,
 # so the limit (22 MB) sits above check-hs's fixed-size envelope scans
@@ -29,3 +33,17 @@ def dense_allocation_guard():
         return report
 
     return run
+
+
+@pytest.fixture
+def exp_operator():
+    """exp_operator(spec, s, grid): the block operator of tau = e^{i 2 pi s sigma},
+    quantized as identity plus the quantization of tau - 1 (the L_tau of
+    operators.product_deviations)."""
+    def build(spec, s, grid):
+        b = _block_size(spec, grid)
+        tau = np.exp(2j * np.pi * s * sample_symbol(spec, grid, rows=slice(b)))
+        blocks = _fourier_blocks(tau - 1.0, grid) + np.eye(b)
+        return DiscreteOperator(blocks=blocks, grid=grid, hermitian_defect=skew_norm(blocks))
+
+    return build

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 import szegocap as sc
-from szegocap.families import default_envelope, envelope_l1_norm
+from szegocap.families import default_envelope, envelope_integral
 from szegocap.harness import (run_convergence_sweep, run_symbol_calculus_check,
                               run_trace_norm_scaling)
 from szegocap.operators import assemble, order_differences
@@ -150,8 +150,8 @@ def test_criterion_04_stability_ratio_bounded(band_bundle):
 
 
 def test_criterion_05_hs_growth_law(band_bundle):
-    env = default_envelope(BAND)
-    psi_l1 = envelope_l1_norm(env)
+    env = default_envelope(BAND, sc.make_grid(BAND_ALPHAS[0]).omega_max)
+    psi_l1 = envelope_integral(env)
     alphas = np.array(BAND_ALPHAS, dtype=float)
     cross = np.array([band_bundle[a]["hs_cross_sq"] for a in BAND_ALPHAS])
     full = np.array([band_bundle[a]["hs_full_sq"] for a in BAND_ALPHAS])

@@ -215,6 +215,32 @@ def test_check_stability_via_cli(tmp_path, capsys):
     assert all(r["eps"] == 0.1 for r in report["records"])
 
 
+@pytest.mark.parametrize("command", ["check-stability", "sweep"])
+def test_eps_beyond_the_roll_off_exits_2(command, capsys):
+    # f_eps must reach h(x) before its roll-off at 16, so eps >= 15 is a
+    # config error, not a failure at every alpha
+    code, out, err = run_cli([command, "--family", "cosine_gauss", "--eps", "20",
+                              "--alphas", "2"], capsys)
+    assert code == 2
+    assert "eps_schedule.eps" in err and out == ""
+
+
+def test_check_hs_envelope_follows_the_grids_band_edge(capsys):
+    # the envelope's ringing floor comes from this grid's band edge, 4
+    code, out, err = run_cli(["check-hs", "--family", "cosine_gauss", "--omega-max", "4",
+                              "--alphas", "8,16,32"], capsys)
+    assert code == 0, err
+
+
+def test_check_stability_tail_follows_the_grids_band_edge(capsys):
+    # with the ringing of a band cut at omega_max = 4, two_tone's envelope
+    # tail beyond the padding is 1.19e-6
+    code, out, err = run_cli(["check-stability", "--family", "two_tone", "--omega-max", "4",
+                              "--alphas", "8,16", "--padding-tol", "1e-6"], capsys)
+    assert code == 2
+    assert "1.189e-06" in err
+
+
 COSINE = {"family": "cosine_gauss"}
 COMMAND_DOCS = {
     "capacity": {"symbol": COSINE},

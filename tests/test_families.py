@@ -5,7 +5,8 @@ import pytest
 
 import szegocap as sc
 from szegocap.errors import ConfigurationError, DomainError
-from szegocap.families import SymbolSpec, envelope_l1_norm
+from szegocap.families import SymbolSpec, envelope_integral
+from szegocap.grid import DEFAULT_OMEGA_MAX
 
 ALL_FAMILIES = ("band_constant", "cosine_gauss", "square_smooth", "two_tone")
 
@@ -113,11 +114,11 @@ def test_omega_square_integrability_under_doubling(name):
 @pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_default_envelope_tail_constant(name):
     spec = sc.make_symbol(name)
-    env = sc.default_envelope(spec)
+    env = sc.default_envelope(spec, DEFAULT_OMEGA_MAX)
     assert env.tail_constant > 0
     z = np.linspace(0.0, 50.0, 2001)
     assert np.all(env.psi(z) >= 0)
-    assert envelope_l1_norm(env) > 0
+    assert envelope_integral(env) > envelope_integral(env, lo=8.0) > 0
 
 
 def test_metadata_flags():

@@ -6,12 +6,11 @@ import pytest
 import szegocap as sc
 from szegocap.errors import AliasingError, DomainError, GridMismatchError
 from szegocap.families import default_envelope, sample_symbol
-from szegocap.operators import SymbolFunctionSpec, order_differences
+from szegocap.operators import order_differences, product_deviations, skew_norm
 from szegocap.spectral import eigh_matrix, window_trace
 from szegocap.transforms import _phase_matrix, kernel_from_values
 
 ALL_FAMILIES = ("band_constant", "cosine_gauss", "square_smooth", "two_tone")
-MAPS = ("identity", "exp_i2pi_s", "product_sigma_exp")
 S_PHASE = 0.3
 
 # grid id -> (make_grid keywords at alpha=2, block count of a 1-periodic symbol)
@@ -25,22 +24,26 @@ ORACLE_GRIDS = {
 }
 
 
-def _sfs(name, pointwise_map):
-    spec = sc.make_symbol(name)
-    s = None if pointwise_map == "identity" else S_PHASE
-    return SymbolFunctionSpec(spec, pointwise_map, s=s)
+def dense_quadrature(spec, grid, values=None):
+    """Reference: the dense Nystrom matrix h_x * k(x_i, x_j) of sigma (or of
+    the samples `values`), assembled by frequency quadrature over every row."""
+    if values is None:
+        values = sample_symbol(spec, grid)
+    return grid.h_x * kernel_from_values(values, grid)
 
 
-def dense_quadrature(sfs, grid):
-    """Reference: the dense Nystrom matrix h_x * k(x_i, x_j) (+ identity),
-    assembled by frequency quadrature over every grid row."""
-    sigma = sample_symbol(sfs.base, grid)
-    if sfs.pointwise_map == "identity":
-        return grid.h_x * kernel_from_values(sigma, grid)
-    phase = np.exp(2j * np.pi * sfs.s * sigma)
-    if sfs.pointwise_map == "exp_i2pi_s":
-        return grid.h_x * kernel_from_values(phase - 1.0, grid) + np.eye(grid.n_x)
-    return grid.h_x * kernel_from_values(sigma * phase, grid)
+def dense_exp(spec, s, grid):
+    """Reference: identity plus the dense quantization of tau - 1, tau = e^{i 2 pi s sigma}."""
+    tau = np.exp(2j * np.pi * s * sample_symbol(spec, grid))
+    return dense_quadrature(spec, grid, tau - 1.0) + np.eye(grid.n_x)
+
+
+def dense_product_deviation(spec, s, grid):
+    """Reference: the dense L_sigma L_tau - L_{sigma tau} of operators.product_deviations."""
+    sigma = sample_symbol(spec, grid)
+    tau = np.exp(2j * np.pi * s * sigma)
+    return dense_quadrature(spec, grid) @ dense_exp(spec, s, grid) \
+        - dense_quadrature(spec, grid, sigma * tau)
 
 
 def two_symbol_kernel(row_values, col_values, grid):
@@ -97,11 +100,11 @@ def test_quantize_aliasing_guard():
         sc.quantize(spec, grid)
 
 
-def test_compose_with_identity():
+def test_compose_with_identity(exp_operator):
     spec = sc.make_symbol("cosine_gauss")
     grid = sc.make_grid(2)
     op = sc.quantize(spec, grid)
-    ident = sc.quantize(SymbolFunctionSpec(spec, "exp_i2pi_s", s=0.0), grid)
+    ident = exp_operator(spec, 0.0, grid)
     assert np.array_equal(ident.matrix, np.eye(grid.n_x))
     assert np.abs(sc.compose(op, ident).matrix - op.matrix).max() == 0.0
 
@@ -146,7 +149,7 @@ def test_operator_norm_bounded_by_sqrt_envelope_l1(name):
     grid = sc.make_grid(4)
     op = sc.quantize(spec, grid)
     norm = np.linalg.norm(op.matrix, 2)
-    env = default_envelope(spec)
+    env = default_envelope(spec, grid.omega_max)
     bound = envelope_sqrt_l1_norm(env, -grid.span, grid.span)
     assert norm <= bound + 1e-6
 
@@ -184,57 +187,78 @@ def test_adjoint_is_conjugate_transpose():
     assert np.array_equal(sc.adjoint(op).matrix, op.matrix.conj().T)
 
 
+def _defect(dense):
+    return np.linalg.norm(0.5 * (dense - dense.conj().T), 2)
+
+
+def _expected_blocks(name, grid_id, grid):
+    """Block count m of a quantized family on an oracle grid."""
+    if name != "band_constant":
+        return ORACLE_GRIDS[grid_id][1]
+    return 1 if grid_id == "h_omega=0.5/span" else grid.n_x
+
+
 @pytest.mark.parametrize("alpha", [2, 8])
-@pytest.mark.parametrize("pointwise_map", MAPS)
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_hermitian_defect_is_exact_operator_norm(name, pointwise_map, alpha):
+def test_hermitian_defect_is_exact_operator_norm(name, alpha):
     grid = sc.make_grid(alpha)
-    sfs = _sfs(name, pointwise_map)
-    dense = dense_quadrature(sfs, grid)
-    exact = np.linalg.norm(0.5 * (dense - dense.conj().T), 2)
+    spec = sc.make_symbol(name)
     # abs floor: a real time-invariant kernel has a defect of pure roundoff
-    assert sc.quantize(sfs, grid).hermitian_defect == pytest.approx(exact, rel=1e-10,
-                                                                     abs=1e-14)
+    assert sc.quantize(spec, grid).hermitian_defect == pytest.approx(
+        _defect(dense_quadrature(spec, grid)), rel=1e-10, abs=1e-14)
 
 
 @pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
-@pytest.mark.parametrize("pointwise_map", MAPS)
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_block_quantize_matches_dense_quadrature(name, pointwise_map, grid_id):
-    kwargs, periodic_blocks = ORACLE_GRIDS[grid_id]
-    grid = sc.make_grid(2, **kwargs)
-    sfs = _sfs(name, pointwise_map)
-    op = sc.quantize(sfs, grid)
-    lattice = grid_id != "h_omega=0.5/span"
-    expect_m = (grid.n_x if lattice else 1) if name == "band_constant" else periodic_blocks
-    assert op.blocks.shape[0] == expect_m
-    assert np.abs(op.matrix - dense_quadrature(sfs, grid)).max() <= 1e-12
+def test_block_quantize_matches_dense_quadrature(name, grid_id):
+    grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
+    spec = sc.make_symbol(name)
+    op = sc.quantize(spec, grid)
+    assert op.blocks.shape[0] == _expected_blocks(name, grid_id, grid)
+    assert np.abs(op.matrix - dense_quadrature(spec, grid)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_product_deviations_match_dense_oracle(name, grid_id):
+    grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
+    spec = sc.make_symbol(name)
+    s_values = (0.0, S_PHASE, -1.0)
+    blocks = list(product_deviations(spec, s_values, grid))
+    assert len(blocks) == len(s_values)
+    assert not blocks[0].any()                   # s = 0: L_sigma I - L_sigma, exactly
+    for s, dev in zip(s_values[1:], blocks[1:]):
+        assert dev.shape[0] == _expected_blocks(name, grid_id, grid)
+        dense = dense_product_deviation(spec, s, grid)
+        assert np.abs(sc.operators.assemble(dev) - dense).max() <= 1e-12
+        if not spec.time_invariant:     # else L_sigma and L_tau commute: pure roundoff
+            assert skew_norm(dev) == pytest.approx(_defect(dense), rel=1e-10, abs=1e-14)
 
 
 @pytest.mark.parametrize("grid_id", ["default", "padding=2.25"])
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_block_algebra_matches_dense(name, grid_id):
+def test_block_algebra_matches_dense(name, grid_id, exp_operator):
     grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
-    a_sfs, b_sfs = _sfs(name, "identity"), _sfs(name, "exp_i2pi_s")
-    a, b = sc.quantize(a_sfs, grid), sc.quantize(b_sfs, grid)
-    da, db = dense_quadrature(a_sfs, grid), dense_quadrature(b_sfs, grid)
+    spec = sc.make_symbol(name)
+    a, b = sc.quantize(spec, grid), exp_operator(spec, S_PHASE, grid)
+    da, db = dense_quadrature(spec, grid), dense_exp(spec, S_PHASE, grid)
     mask = grid.window_mask()
 
     assert np.abs(sc.window_block(a) - da[np.ix_(mask, mask)]).max() <= 1e-12
     assert np.abs(sc.adjoint(b).matrix - db.conj().T).max() <= 1e-12
     prod, dense_prod = sc.compose(a, b), da @ db
     assert np.abs(prod.matrix - dense_prod).max() <= 1e-12
-    exact = np.linalg.norm(0.5 * (dense_prod - dense_prod.conj().T), 2)
-    assert prod.hermitian_defect == pytest.approx(exact, rel=1e-10, abs=1e-14)
+    assert prod.hermitian_defect == pytest.approx(_defect(dense_prod), rel=1e-10, abs=1e-14)
+    assert b.hermitian_defect == pytest.approx(_defect(db), rel=1e-10, abs=1e-14)
 
 
 @pytest.mark.parametrize("grid_id", ["default", "padding=2.5", "padding=2.25"])
 @pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_block_window_trace_matches_dense_eigh(name, grid_id):
     grid = sc.make_grid(4, **ORACLE_GRIDS[grid_id][0])
-    sfs = _sfs(name, "identity")
-    herm = sc.hermitize(sc.quantize(sfs, grid))
-    dense = dense_quadrature(sfs, grid)
+    spec = sc.make_symbol(name)
+    herm = sc.hermitize(sc.quantize(spec, grid))
+    dense = dense_quadrature(spec, grid)
     lam, basis = eigh_matrix(0.5 * (dense + dense.conj().T))
     weights = (np.abs(basis[grid.window_mask(), :]) ** 2).sum(axis=0)
     for f in (lambda x: x ** 2, lambda x: sc.rate_log(6.0 * x)):
