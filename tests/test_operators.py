@@ -199,13 +199,25 @@ def _expected_blocks(name, grid_id, grid):
 
 
 @pytest.mark.parametrize("alpha", [2, 8])
+@pytest.mark.parametrize("kind", ["identity", "exp_i2pi_s", "product_deviation"])
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_hermitian_defect_is_exact_operator_norm(name, alpha):
+def test_hermitian_defect_is_exact_operator_norm(name, kind, alpha, exp_operator):
     grid = sc.make_grid(alpha)
     spec = sc.make_symbol(name)
+    if kind == "identity":
+        defect, dense = sc.quantize(spec, grid).hermitian_defect, dense_quadrature(spec, grid)
+    elif kind == "exp_i2pi_s":
+        defect, dense = exp_operator(spec, S_PHASE, grid).hermitian_defect, \
+            dense_exp(spec, S_PHASE, grid)
+    else:
+        (dev,) = product_deviations(spec, [S_PHASE], grid)
+        defect, dense = skew_norm(dev), dense_product_deviation(spec, S_PHASE, grid)
+        if spec.time_invariant:
+            # L_sigma and L_tau commute: the exact defect is 0, and both sides are roundoff
+            assert defect <= 1e-12 and _defect(dense) <= 1e-12
+            return
     # abs floor: a real time-invariant kernel has a defect of pure roundoff
-    assert sc.quantize(spec, grid).hermitian_defect == pytest.approx(
-        _defect(dense_quadrature(spec, grid)), rel=1e-10, abs=1e-14)
+    assert defect == pytest.approx(_defect(dense), rel=1e-10, abs=1e-14)
 
 
 @pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
@@ -223,16 +235,24 @@ def test_block_quantize_matches_dense_quadrature(name, grid_id):
 def test_product_deviations_match_dense_oracle(name, grid_id):
     grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
     spec = sc.make_symbol(name)
-    s_values = (0.0, S_PHASE, -1.0)
+    s_values = (S_PHASE, -1.0)
     blocks = list(product_deviations(spec, s_values, grid))
     assert len(blocks) == len(s_values)
-    assert not blocks[0].any()                   # s = 0: L_sigma I - L_sigma, exactly
-    for s, dev in zip(s_values[1:], blocks[1:]):
+    for s, dev in zip(s_values, blocks):
         assert dev.shape[0] == _expected_blocks(name, grid_id, grid)
         dense = dense_product_deviation(spec, s, grid)
         assert np.abs(sc.operators.assemble(dev) - dense).max() <= 1e-12
         if not spec.time_invariant:     # else L_sigma and L_tau commute: pure roundoff
             assert skew_norm(dev) == pytest.approx(_defect(dense), rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_product_deviations_vanish_at_s_zero(name, grid_id):
+    grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
+    (dev,) = product_deviations(sc.make_symbol(name), [0.0], grid)
+    assert dev.shape[0] == _expected_blocks(name, grid_id, grid)
+    assert not dev.any()                         # L_sigma I - L_sigma, exactly
 
 
 @pytest.mark.parametrize("grid_id", ["default", "padding=2.25"])
