@@ -1,14 +1,13 @@
 """szegocap: capacity of doubly-dispersive Gaussian channels.
 
-Quantizes time-varying transfer functions to dense operators, water-fills
-restricted spectra, and runs the asymptotic diagnostics that compare the
-discrete capacity with the symbol-integral formula.
+Quantizes time-varying transfer functions to block-circulant operators,
+water-fills restricted spectra, and runs the asymptotic diagnostics that
+compare the discrete capacity with the symbol-integral formula.
 """
 
 from .errors import (AliasingError, ConfigurationError, DomainError,
-                     GridMismatchError, NoCapacityError, NonHermitianError,
-                     NumericalError, SzegocapError, TruncationWarning,
-                     UnsupportedSymbolError)
+                     NoCapacityError, NonHermitianError, SzegocapError,
+                     TruncationWarning, UnsupportedSymbolError)
 from .families import (KernelEnvelope, SymbolSpec, default_envelope,
                        eval_symbol, make_symbol, sample_symbol)
 from .grid import Grid, make_grid
@@ -16,9 +15,7 @@ from .harness import (EpsSchedule, FitResult, SweepRecord, SweepReport,
                       fit_loglog, run_convergence_sweep,
                       run_hs_boundary_check, run_stability_check,
                       run_symbol_calculus_check, run_trace_norm_scaling)
-from .operators import (DiscreteOperator, adjoint, compose, hermitize, quantize,
-                        window_block)
-from .spectral import eigh
+from .operators import DiscreteOperator, hermitize, quantize, window_block
 from .transforms import EnvelopeReport, envelope_check
 from .waterfill import (QuadratureConfig, WaterfillSolution, build_f_eps,
                         power_gap, rate_log, smoothstep, waterfill_discrete,

@@ -16,14 +16,16 @@ import sys
 from types import SimpleNamespace
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import make_symbol
 from .grid import DEFAULT_H_X, DEFAULT_OMEGA_MAX, DEFAULT_PADDING, make_grid
 from .harness import (EpsSchedule, SweepReport, run_convergence_sweep,
                       run_hs_boundary_check, run_stability_check,
                       run_symbol_calculus_check, run_trace_norm_scaling)
-from .operators import quantize
-from .reports import export_operator, write_report_files
+from .operators import DiscreteOperator, quantize
+from .reports import write_report_files
 from .waterfill import (QuadratureConfig, build_f_eps, waterfill_discrete,
                         waterfill_symbol)
 
@@ -252,7 +254,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), help="report format")
     p.add_argument("--dump-operator", dest="dump_operator", metavar="PATH",
                    help="debug: write the quantized operator at the first alpha "
-                        "(.npy binary or .csv by extension)")
+                        "as its Fourier blocks and grid (.npz)")
     return p
 
 
@@ -319,6 +321,9 @@ def parse_config(argv: list[str]) -> RunConfig:
     cfg = validate_config(doc)
     if args.dump_operator and cfg.command == "waterfill":
         raise ConfigFieldError("dump_operator", "waterfill quantizes no operator to dump")
+    if args.dump_operator and not args.dump_operator.endswith(".npz"):
+        raise ConfigFieldError("dump_operator",
+                               f"expected a .npz path, got {args.dump_operator!r}")
     cfg.dump_operator = args.dump_operator
     return cfg
 
@@ -387,10 +392,18 @@ _RUNNERS = {
 }
 
 
-def _dump_operator(cfg: RunConfig) -> str:
-    """Debug export of the quantized operator at the first alpha."""
-    grid = make_grid(cfg.alphas[0], **_grid_kw(cfg))
-    return export_operator(quantize(_symbol_spec(cfg), grid), cfg.dump_operator)
+def _first_operator(cfg: RunConfig) -> DiscreteOperator:
+    """The quantized operator at the first alpha, for --dump-operator."""
+    return quantize(_symbol_spec(cfg), make_grid(cfg.alphas[0], **_grid_kw(cfg)))
+
+
+def _dump_operator(op: DiscreteOperator, path: str) -> str:
+    """Write the operator's Fourier blocks and the grid fields that rebuild it
+    (make_grid(span + 2 x_min, h_x, omega_max, padding=-x_min)) as an .npz."""
+    g = op.grid
+    np.savez(path, blocks=op.blocks, h_x=g.h_x, x_min=g.x_min, span=g.span,
+             omega_max=g.omega_max)
+    return path
 
 
 def write_report(report: SweepReport, cfg: RunConfig) -> list[str]:
@@ -436,6 +449,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = _RUNNERS[cfg.command](cfg)
+        dump = _first_operator(cfg) if cfg.dump_operator else None
     except ConfigurationError as exc:
         print(exc if isinstance(exc, ConfigFieldError) else f"configuration error: {exc}",
               file=sys.stderr)
@@ -451,8 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         _print_summary(report)
     try:
         written = write_report(report, cfg)
-        if cfg.dump_operator:
-            written.append(_dump_operator(cfg))
+        if dump is not None:
+            written.append(_dump_operator(dump, cfg.dump_operator))
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return EXIT_WRITE

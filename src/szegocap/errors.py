@@ -17,10 +17,6 @@ class AliasingError(ConfigurationError):
     """Grid too coarse for the requested frequency truncation (2*h_x*omega_max > 1)."""
 
 
-class GridMismatchError(SzegocapError):
-    """Operands built on different grids were combined."""
-
-
 class NonHermitianError(DomainError):
     """A spectral routine received a matrix whose hermitian defect exceeds its tolerance."""
 
@@ -31,10 +27,6 @@ class NoCapacityError(SzegocapError):
 
 class UnsupportedSymbolError(SzegocapError):
     """Continuous water-filling needs a time-invariant or 1-periodic symbol."""
-
-
-class NumericalError(SzegocapError):
-    """A numerical contract was violated (e.g. eigenvalues too negative to clip)."""
 
 
 class TruncationWarning(UserWarning):

@@ -110,11 +110,14 @@ def fit_affine(xs, ys) -> FitResult:
     n = xs.size
     tcrit = float(stats.t.ppf(0.975, n - 2)) if n > 2 else math.inf
     resid = ys - (res.intercept + res.slope * xs)
-    stderr = float(res.stderr) if np.isfinite(res.stderr) else math.nan
+    # the slope's standard error from the residuals: linregress takes it from
+    # 1 - r^2, which on an exact law reads 0 or at least about sqrt(eps)
+    stderr = math.sqrt(np.sum(resid ** 2) / (n - 2) / np.sum((xs - xs.mean()) ** 2)) \
+        if n > 2 else 0.0
     return FitResult(slope=float(res.slope), intercept=float(res.intercept),
                      stderr=stderr, r2=float(res.rvalue ** 2),
-                     ci95_lo=float(res.slope - tcrit * stderr) if np.isfinite(stderr) else math.nan,
-                     ci95_hi=float(res.slope + tcrit * stderr) if np.isfinite(stderr) else math.nan,
+                     ci95_lo=float(res.slope - tcrit * stderr),
+                     ci95_hi=float(res.slope + tcrit * stderr),
                      n=n, rms_resid=float(np.sqrt(np.mean(resid ** 2))))
 
 

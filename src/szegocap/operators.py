@@ -1,5 +1,5 @@
 """Quantized operators on a grid, held as the Fourier blocks of a block-circulant
-matrix, and their algebra.
+matrix.
 
 On the padded grid the Nystrom matrix h_x * k(x_i, x_j) of a symbol that is
 periodic in time (period p) is block-circulant when the frequency samples
@@ -9,8 +9,9 @@ A time-invariant symbol gives b = 1.  Such a matrix is stored as its m
 Fourier blocks (shape (m, b, b)): the discrete Fourier transform over the
 block index turns it into a block-diagonal matrix with these blocks, by a
 unitary change of basis.  Products, adjoints, Hermitian parts, spectra and
-operator norms therefore act block by block.  A grid without that shift
-symmetry gives m = 1, whose single block is the dense matrix itself.
+operator norms therefore act block by block, as numpy operations on the
+stacked blocks.  A grid without that shift symmetry gives m = 1, whose single
+block is the dense matrix itself.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, GridMismatchError
+from .errors import AliasingError
 from .families import SymbolSpec, sample_symbol
 from .grid import Grid
 
@@ -30,19 +31,18 @@ _LATTICE_TOL = 1e-9
 class DiscreteOperator:
     """Operator on the grid, stored as Fourier blocks of shape (m, b, b), n_x = m * b.
 
-    Dense entries are assembled on demand: `matrix` builds the whole matrix
-    on every access, `assemble` any rows and columns of it.
+    Every command works on the blocks; `assemble` builds any rows and columns
+    of the dense matrix from them.
     """
     blocks: np.ndarray
     grid: Grid
     hermitian_defect: float      # exact ||(A - A*)/2||_2
 
     @property
-    def n(self) -> int:
-        return self.blocks.shape[0] * self.blocks.shape[1]
-
-    @property
     def matrix(self) -> np.ndarray:
+        """The whole dense n_x x n_x matrix, built on every access.  No command
+        reads it: it is kept for perfbench's `_count_quantize` and as the
+        tests' dense view."""
         return assemble(self.blocks)
 
 
@@ -54,34 +54,11 @@ def assemble(blocks: np.ndarray, rows=None, cols=None) -> np.ndarray:
     FFT over k, and A[u b + r, v b + s] = C_{(u - v) mod m}[r, s].
     """
     m, b, _ = blocks.shape
-    first_col = _first_block_column(blocks)
+    # a length-1 transform is the identity; skip copying the dense block
+    first_col = blocks if m == 1 else np.fft.ifft(blocks, axis=0)
     rows, cols = _indices(rows, m * b), _indices(cols, m * b)
     shift = (rows[:, None] // b - cols[None, :] // b) % m
     return first_col[shift, (rows % b)[:, None], (cols % b)[None, :]]
-
-
-def _first_block_column(blocks: np.ndarray) -> np.ndarray:
-    """C = ifft over k, taken separately of the Hermitian and skew-Hermitian
-    parts H, K of the blocks.  Their transforms obey C_{-d} = +-C_d^* exactly
-    after pairing, so the dense form of A* is exactly the conjugate transpose
-    of A's, and a Hermitian operator's dense form is exactly Hermitian."""
-    if blocks.shape[0] == 1:
-        return blocks           # a length-1 transform is the identity
-    herm = 0.5 * (blocks + _conj_t(blocks))
-    skew = 0.5 * (blocks - _conj_t(blocks))
-    return _paired_ifft(herm, 1.0) + _paired_ifft(skew, -1.0)
-
-
-def _paired_ifft(blocks: np.ndarray, sign: float) -> np.ndarray:
-    """ifft over k of blocks with A_k^* = sign A_k, made to satisfy
-    C_{-d} = sign C_d^* exactly."""
-    c = np.fft.ifft(blocks, axis=0)
-    m = c.shape[0]
-    half = np.arange(1, (m + 1) // 2)
-    c[m - half] = sign * _conj_t(c[half])
-    for d in (0, m // 2) if m % 2 == 0 else (0,):      # d = -d mod m
-        c[d] = 0.5 * (c[d] + sign * _conj_t(c[d]))
-    return c
 
 
 def _indices(mask, n: int) -> np.ndarray:
@@ -192,23 +169,6 @@ def product_deviations(spec: SymbolSpec, s_values, grid: Grid):
         # Fourier blocks multiply and subtract like their operators
         yield a_sigma @ (_fourier_blocks(tau - 1.0, grid) + np.eye(b)) \
             - _fourier_blocks(sigma * tau, grid)
-
-
-def compose(a: DiscreteOperator, b: DiscreteOperator) -> DiscreteOperator:
-    if a.grid is not b.grid and a.grid != b.grid:
-        raise GridMismatchError("cannot compose operators on different grids")
-    if a.n != b.n:
-        raise GridMismatchError(f"dimension mismatch: {a.n} x {a.n} @ {b.n} x {b.n}")
-    # operators with different block sizes meet in the dense (m = 1) form
-    left, right = (a.blocks, b.blocks) if a.blocks.shape == b.blocks.shape \
-        else (a.matrix[None], b.matrix[None])
-    blocks = left @ right
-    return DiscreteOperator(blocks=blocks, grid=a.grid, hermitian_defect=skew_norm(blocks))
-
-
-def adjoint(a: DiscreteOperator) -> DiscreteOperator:
-    return DiscreteOperator(blocks=_conj_t(a.blocks).copy(), grid=a.grid,
-                            hermitian_defect=a.hermitian_defect)
 
 
 def hermitize(a: DiscreteOperator) -> DiscreteOperator:

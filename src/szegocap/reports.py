@@ -79,23 +79,6 @@ def report_json(report: SweepReport) -> str:
                       allow_nan=True) + "\n"
 
 
-def export_operator(op, path: str) -> str:
-    """Debug export of a DiscreteOperator's dense matrix: .npy binary, or CSV
-    otherwise.
-
-    Complex matrices go to CSV as interleaved real/imag columns (a float64
-    view); load back with np.loadtxt(path, delimiter=',').view(complex).
-    """
-    import numpy as np
-    matrix = op.matrix
-    if path.endswith(".npy"):
-        np.save(path, matrix)
-        return path
-    out = matrix.view(np.float64) if np.iscomplexobj(matrix) else matrix
-    np.savetxt(path, out, delimiter=",", fmt="%.17g")
-    return path
-
-
 def write_report_files(report: SweepReport, path: str, fmt: str) -> list[str]:
     """Write the report in the requested format; returns written paths."""
     if fmt == "csv":

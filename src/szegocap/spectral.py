@@ -1,5 +1,5 @@
-"""Hermitian eigenvalues and full-space window traces, on dense matrices and
-on the Fourier blocks of block-circulant operators."""
+"""Hermitian eigenvalues of dense matrices, and full-space window traces
+from the Fourier blocks of block-circulant operators."""
 
 from __future__ import annotations
 
@@ -35,17 +35,6 @@ def _require_hermitian(a: DiscreteOperator) -> None:
         raise NonHermitianError(
             f"hermitian defect {a.hermitian_defect:.3e} exceeds {HERMITIAN_DEFECT_TOL:.1e}; "
             "hermitize the operator first")
-
-
-def eigh(a: DiscreteOperator) -> np.ndarray:
-    """Descending eigenvalues of a hermitized operator: the union of its
-    Fourier blocks' spectra.
-
-    Raises NonHermitianError unless the operator's hermitian defect is at
-    most HERMITIAN_DEFECT_TOL.
-    """
-    _require_hermitian(a)
-    return np.sort(np.linalg.eigvalsh(real_cast(a.blocks)), axis=None)[::-1].copy()
 
 
 def window_trace(a: DiscreteOperator, f) -> float:

@@ -88,12 +88,12 @@ def test_repeated_alphas_exit_2(capsys):
 
 
 def test_waterfill_dump_operator_exits_2_before_writing(tmp_path, capsys):
-    report, npy = tmp_path / "r.json", tmp_path / "op.npy"
+    report, npz = tmp_path / "r.json", tmp_path / "op.npz"
     code, out, err = run_cli(["waterfill", "--eigs", "4,1", "--output", str(report),
-                              "--dump-operator", str(npy)], capsys)
+                              "--dump-operator", str(npz)], capsys)
     assert code == 2
     assert "dump_operator" in err
-    assert not report.exists() and not npy.exists()
+    assert not report.exists() and not npz.exists()
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):
@@ -170,24 +170,70 @@ def test_param_flags_build_symbol(capsys):
 def test_dump_operator_flag(tmp_path, capsys):
     import numpy as np
     import szegocap as sc
-    npy = tmp_path / "op.npy"
-    code, out, err = run_cli(["capacity", "--family", "band_constant",
-                              "--param", "W=0.25", "--alphas", "2",
-                              "--dump-operator", str(npy)], capsys)
-    assert code == 0, err
-    dumped = np.load(npy)
-    direct = sc.quantize(sc.make_symbol("band_constant", W=0.25), sc.make_grid(2))
-    assert np.array_equal(dumped, direct.matrix)
+    from szegocap.operators import assemble
+    for family, params in (("band_constant", {"W": 0.25}), ("cosine_gauss", {})):
+        path = tmp_path / f"{family}.npz"
+        code, out, err = run_cli(["capacity", "--family", family, "--alphas", "2",
+                                  "--dump-operator", str(path)]
+                                 + [f"--param={k}={v}" for k, v in params.items()], capsys)
+        assert code == 0, err
+        direct = sc.quantize(sc.make_symbol(family, **params), sc.make_grid(2))
+        with np.load(path) as dumped:
+            blocks = dumped["blocks"]
+            x_min, span = float(dumped["x_min"]), float(dumped["span"])
+            grid = sc.make_grid(span + 2.0 * x_min, h_x=float(dumped["h_x"]),
+                                omega_max=float(dumped["omega_max"]), padding=-x_min)
+        assert np.array_equal(blocks, direct.blocks)
+        assert np.array_equal(assemble(blocks), direct.matrix)
+        assert grid == direct.grid
 
-    csv_path = tmp_path / "op.csv"
-    code, out, err = run_cli(["capacity", "--family", "cosine_gauss",
-                              "--alphas", "2", "--dump-operator", str(csv_path)], capsys)
-    assert code == 0, err
-    loaded = np.loadtxt(csv_path, delimiter=",")
-    op = sc.quantize(sc.make_symbol("cosine_gauss"), sc.make_grid(2))
-    if np.iscomplexobj(op.matrix):
-        loaded = loaded.view(complex)
-    assert np.abs(loaded - op.matrix).max() < 1e-16
+
+@pytest.mark.parametrize("name", ["op.npy", "op.csv"])
+def test_dump_operator_other_extension_exits_2_before_writing(tmp_path, capsys, name):
+    report = tmp_path / "r.json"
+    code, out, err = run_cli(["capacity", "--family", "cosine_gauss", "--alphas", "2",
+                              "--output", str(report), "--dump-operator", str(tmp_path / name)],
+                             capsys)
+    assert code == 2
+    assert "dump_operator" in err and ".npz" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dump_operator_grid_error_exits_5(tmp_path, capsys):
+    # the sweep records the grid's DomainError per alpha; the dump raises it
+    path = tmp_path / "op.npz"
+    code, out, err = run_cli(["sweep", "--family", "cosine_gauss", "--alphas", "2",
+                              "--h-x", "0.35", "--omega-max", "1",
+                              "--dump-operator", str(path)], capsys)
+    assert code == 5
+    assert err == "numerical failure: span 18.0 is not an integer multiple of h_x 0.35\n"
+    assert not path.exists()
+
+
+def test_dump_operator_out_of_memory_exits_5(tmp_path, capsys, monkeypatch):
+    def no_memory(spec, grid):
+        raise MemoryError("synthetic")
+
+    monkeypatch.setattr(cli, "quantize", no_memory)
+    path = tmp_path / "op.npz"
+    code, out, err = run_cli(["capacity", "--family", "cosine_gauss", "--alphas", "2",
+                              "--dump-operator", str(path)], capsys)
+    assert code == 5
+    assert err == "numerical failure: out of memory: synthetic\n"
+    assert not path.exists()
+
+
+def test_dump_operator_allocates_no_dense_matrix(tmp_path, capsys, dense_allocation_guard):
+    path = tmp_path / "op.npz"
+
+    def run(alphas, grid_kw):
+        # a coarse symbol quadrature keeps the capacity itself under the limit
+        return main(["capacity", "--family", "cosine_gauss", "--quad-density", "16",
+                     "--alphas", ",".join(map(str, alphas)),
+                     "--padding-m", str(grid_kw["padding"]), "--dump-operator", str(path)])
+
+    assert dense_allocation_guard(run) == 0
+    assert path.exists()
 
 
 def test_check_product_on_rough_family_exits_5(tmp_path, capsys):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import szegocap as sc
-from szegocap.errors import AliasingError, DomainError, GridMismatchError
+from szegocap.errors import AliasingError, DomainError
 from szegocap.families import default_envelope, sample_symbol
-from szegocap.operators import order_differences, product_deviations, skew_norm
+from szegocap.operators import (_conj_t, assemble, order_differences, product_deviations,
+                                skew_norm)
 from szegocap.spectral import eigh_matrix, window_trace
 from szegocap.transforms import _phase_matrix, kernel_from_values
 
@@ -106,15 +107,7 @@ def test_compose_with_identity(exp_operator):
     op = sc.quantize(spec, grid)
     ident = exp_operator(spec, 0.0, grid)
     assert np.array_equal(ident.matrix, np.eye(grid.n_x))
-    assert np.abs(sc.compose(op, ident).matrix - op.matrix).max() == 0.0
-
-
-def test_compose_grid_mismatch():
-    spec = sc.make_symbol("cosine_gauss")
-    a = sc.quantize(spec, sc.make_grid(2))
-    b = sc.quantize(spec, sc.make_grid(4))
-    with pytest.raises(GridMismatchError):
-        sc.compose(a, b)
+    assert np.abs(assemble(op.blocks @ ident.blocks) - op.matrix).max() == 0.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -180,11 +173,6 @@ def test_nystrom_self_convergence():
         drift = np.abs(l1[sel] - l2[: len(l1)][sel])
         assert (drift / l1[sel]).max() <= rel_cap
         assert drift.max() <= 0.01 * l1[0]
-
-
-def test_adjoint_is_conjugate_transpose():
-    op = sc.quantize(sc.make_symbol("cosine_gauss"), sc.make_grid(2))
-    assert np.array_equal(sc.adjoint(op).matrix, op.matrix.conj().T)
 
 
 def _defect(dense):
@@ -265,10 +253,10 @@ def test_block_algebra_matches_dense(name, grid_id, exp_operator):
     mask = grid.window_mask()
 
     assert np.abs(sc.window_block(a) - da[np.ix_(mask, mask)]).max() <= 1e-12
-    assert np.abs(sc.adjoint(b).matrix - db.conj().T).max() <= 1e-12
-    prod, dense_prod = sc.compose(a, b), da @ db
-    assert np.abs(prod.matrix - dense_prod).max() <= 1e-12
-    assert prod.hermitian_defect == pytest.approx(_defect(dense_prod), rel=1e-10, abs=1e-14)
+    assert np.abs(assemble(_conj_t(b.blocks)) - db.conj().T).max() <= 1e-12
+    prod, dense_prod = a.blocks @ b.blocks, da @ db
+    assert np.abs(assemble(prod) - dense_prod).max() <= 1e-12
+    assert skew_norm(prod) == pytest.approx(_defect(dense_prod), rel=1e-10, abs=1e-14)
     assert b.hermitian_defect == pytest.approx(_defect(db), rel=1e-10, abs=1e-14)
 
 
