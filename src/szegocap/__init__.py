@@ -11,14 +11,13 @@ from .errors import (AliasingError, ConfigurationError, DomainError,
 from .families import (KernelEnvelope, SymbolSpec, default_envelope,
                        eval_symbol, make_symbol, sample_symbol)
 from .grid import Grid, make_grid
-from .harness import (EpsSchedule, FitResult, SweepRecord, SweepReport,
-                      fit_loglog, run_convergence_sweep,
-                      run_hs_boundary_check, run_stability_check,
-                      run_symbol_calculus_check, run_trace_norm_scaling)
+from .harness import (FitResult, SweepRecord, SweepReport, fit_loglog,
+                      run_convergence_sweep, run_hs_boundary_check,
+                      run_stability_check, run_symbol_calculus_check,
+                      run_trace_norm_scaling)
 from .operators import DiscreteOperator, hermitize, quantize, window_block
 from .transforms import EnvelopeReport, envelope_check
-from .waterfill import (QuadratureConfig, WaterfillSolution, build_f_eps,
-                        power_gap, rate_log, smoothstep, waterfill_discrete,
-                        waterfill_symbol)
+from .waterfill import (WaterfillSolution, build_f_eps, rate_log, smoothstep,
+                        waterfill_discrete, waterfill_symbol)
 
 __version__ = "0.1.0"

@@ -20,14 +20,14 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import make_symbol
-from .grid import DEFAULT_H_X, DEFAULT_OMEGA_MAX, DEFAULT_PADDING, make_grid
-from .harness import (EpsSchedule, SweepReport, run_convergence_sweep,
-                      run_hs_boundary_check, run_stability_check,
-                      run_symbol_calculus_check, run_trace_norm_scaling)
+from .grid import (DEFAULT_H_X, DEFAULT_OMEGA_MAX, DEFAULT_PADDING, DEFAULT_QUAD_DENSITY,
+                   make_grid)
+from .harness import (SweepReport, run_convergence_sweep, run_hs_boundary_check,
+                      run_stability_check, run_symbol_calculus_check,
+                      run_trace_norm_scaling)
 from .operators import DiscreteOperator, quantize
 from .reports import write_report_files
-from .waterfill import (QuadratureConfig, build_f_eps, waterfill_discrete,
-                        waterfill_symbol)
+from .waterfill import build_f_eps, waterfill_discrete, waterfill_symbol
 
 COMMANDS = ("capacity", "waterfill", "sweep", "check-stability", "check-hs",
             "check-product", "check-tracenorm")
@@ -71,7 +71,7 @@ _FIELDS = (
            "frequency truncation"),
     _Field("grid.padding_m", "float", "nonnegative", DEFAULT_PADDING, "--padding-m",
            "domain padding"),
-    _Field("grid.quad_density", "int", "positive", QuadratureConfig.density, "--quad-density",
+    _Field("grid.quad_density", "int", "positive", DEFAULT_QUAD_DENSITY, "--quad-density",
            "quadrature density for the symbol water-fill"),
     _Field("grid.padding_tol", "float", "positive", 1e-8, "--padding-tol",
            "envelope tail tolerance beyond the padding"),
@@ -206,10 +206,10 @@ def validate_config(doc: dict) -> RunConfig:
             raise ConfigFieldError("eps_schedule.eps", "required for fixed mode")
         key = "eps" if mode == "fixed" else "delta"
         cfg.eps_schedule = {"mode": mode, key: _number(f"eps_schedule.{key}",
-                                                      es.get(key, EpsSchedule.delta), "positive")}
+                                                      es.get(key, 0.125), "positive")}
         if mode == "fixed":
             try:
-                build_f_eps("log", cfg.eps_schedule["eps"])
+                build_f_eps(cfg.eps_schedule["eps"])
             except DomainError as exc:
                 raise ConfigFieldError("eps_schedule.eps", str(exc)) from exc
 
@@ -365,23 +365,30 @@ def _run_stability(cfg: RunConfig) -> SweepReport:
             "eps_schedule.mode",
             "check-stability uses one fixed f_eps across the sweep; "
             "use {'mode': 'fixed', 'eps': ...}")
-    report = run_stability_check(spec, build_f_eps("log", sched["eps"]), cfg.alphas,
+    report = run_stability_check(spec, build_f_eps(sched["eps"]), cfg.alphas,
                                  _grid_kw(cfg), padding_tol=cfg.grid["padding_tol"])
     for rec in report.records:
         rec.eps = sched["eps"]
     return report
 
 
+def _eps_for(sched: dict | None):
+    """eps as a function of alpha for the validated eps_schedule section, or None."""
+    if sched is None:
+        return None
+    if sched["mode"] == "fixed":
+        return lambda alpha: sched["eps"]
+    return lambda alpha: float(alpha) ** -sched["delta"]
+
+
 # command -> runner; lambdas look runners up per call, so a patched one runs
 _RUNNERS = {
     "waterfill": _run_waterfill,
     "capacity": lambda cfg: _solution_report("capacity", waterfill_symbol(
-        _symbol_spec(cfg), cfg.power_S,
-        QuadratureConfig(cfg.grid["quad_density"], cfg.grid["omega_max"]))),
+        _symbol_spec(cfg), cfg.power_S, cfg.grid["quad_density"], cfg.grid["omega_max"])),
     "sweep": lambda cfg: run_convergence_sweep(
         _symbol_spec(cfg), cfg.power_S, cfg.alphas, _grid_kw(cfg),
-        QuadratureConfig(cfg.grid["quad_density"], cfg.grid["omega_max"]),
-        EpsSchedule(**cfg.eps_schedule) if cfg.eps_schedule else None),
+        cfg.grid["quad_density"], _eps_for(cfg.eps_schedule)),
     "check-stability": _run_stability,
     "check-hs": lambda cfg: run_hs_boundary_check(
         _symbol_spec(cfg), cfg.alphas, _grid_kw(cfg)),

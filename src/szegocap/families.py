@@ -277,11 +277,15 @@ def default_envelope(spec: SymbolSpec, omega_max: float) -> KernelEnvelope:
     the slowest family decay.
     """
     fam, params = _checked(spec)
-    psi_true = fam.psi(params)
+    overflow = ConfigurationError(f"{spec.family_name} kernel envelope overflows at {params}")
+    try:
+        psi_true = fam.psi(params)
+        roundoff = 1e-12 * float(np.sqrt(psi_true(np.array([0.0]))[0]) + 1.0)
+    except OverflowError:           # Python-float ** in the family's psi
+        raise overflow from None
     xs = np.arange(64) / 64.0
     edge = max(float(np.abs(fam.sigma(xs, np.full_like(xs, omega_max), params)).max()),
                float(np.abs(fam.sigma(xs, np.full_like(xs, -omega_max), params)).max()))
-    roundoff = 1e-12 * float(np.sqrt(psi_true(np.array([0.0]))[0]) + 1.0)
 
     def psi(z):
         z = _bx(z)
@@ -296,6 +300,8 @@ def default_envelope(spec: SymbolSpec, omega_max: float) -> KernelEnvelope:
     s_grid = np.logspace(-2, np.log10(ENVELOPE_Z_MAX / 2.0), 600)
     tails = 2.0 * np.interp(s_grid, z, tail_one_sided)
     c = float(np.max(s_grid * tails)) * (1.0 + 1e-9)
+    if not math.isfinite(c):
+        raise overflow
     return KernelEnvelope(psi=psi, tail_constant=c)
 
 

@@ -20,6 +20,7 @@ from .errors import DomainError
 DEFAULT_H_X = 1.0 / 16.0
 DEFAULT_OMEGA_MAX = 8.0
 DEFAULT_PADDING = 8.0
+DEFAULT_QUAD_DENSITY = 256      # symbol water-fill nodes per unit of x and of omega
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,9 @@ def make_grid(alpha: float,
         raise DomainError(
             f"h_omega {h_omega} violates the non-aliasing bound 1/span = {1.0 / span}")
 
+    # in frequency-index units, with the tolerance of quantize's lattice test
     n_half = round(omega_max / h_omega)
-    if abs(n_half * h_omega - omega_max) > 1e-9 * omega_max:
+    if abs(omega_max / h_omega - n_half) > 1e-9:
         raise DomainError(
             f"omega_max {omega_max} is not an integer multiple of h_omega {h_omega}")
     n_omega = 2 * n_half + 1

@@ -19,37 +19,13 @@ from scipy import stats
 from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import (SymbolSpec, default_envelope, envelope_integral,
                        sample_symbol)
-from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, Grid, make_grid
+from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, DEFAULT_QUAD_DENSITY, Grid, make_grid
 from .operators import (assemble, hermitize, order_differences, product_deviations,
                         quantize, window_block)
 from .spectral import eigh_matrix, window_trace
 from .transforms import envelope_check, kernel_from_values
-from .waterfill import (QuadratureConfig, build_f_eps, rate_log,
-                        sup_abs_second_derivative, waterfill_discrete,
-                        waterfill_symbol)
-
-
-@dataclass(frozen=True)
-class EpsSchedule:
-    """Either a fixed smoothing width or the coupling eps = alpha^(-delta)."""
-    mode: str = "alpha_power"
-    eps: float | None = None
-    delta: float | None = 0.125
-
-    def __post_init__(self):
-        if self.mode == "fixed":
-            if self.eps is None or self.eps <= 0:
-                raise DomainError("fixed eps schedule needs eps > 0")
-        elif self.mode == "alpha_power":
-            if self.delta is None or self.delta <= 0:
-                raise DomainError("alpha_power eps schedule needs delta > 0")
-        else:
-            raise DomainError(f"unknown eps schedule mode {self.mode!r}")
-
-    def value_for(self, alpha: float) -> float:
-        if self.mode == "fixed":
-            return float(self.eps)
-        return float(alpha) ** (-float(self.delta))
+from .waterfill import (build_f_eps, rate_log, sup_abs_second_derivative,
+                        waterfill_discrete, waterfill_symbol)
 
 
 @dataclass
@@ -178,18 +154,17 @@ def _require_periodic(spec: SymbolSpec, check: str) -> None:
 
 
 def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
-                          grid_kw: dict | None = None,
-                          quad: QuadratureConfig | None = None,
-                          eps_schedule: EpsSchedule | None = None) -> SweepReport:
+                          grid_kw: dict | None = None, density: int = DEFAULT_QUAD_DENSITY,
+                          eps_for=None) -> SweepReport:
     """Capacity of the restricted operator versus the symbol-integral formula.
 
     Per alpha: water-fill the spectrum of the hermitized restricted operator,
     and decompose the fixed-f trace error (f = rate at the continuous water
-    level) into its interval-stability and symbol-calculus parts.
+    level) into its interval-stability and symbol-calculus parts.  With eps_for,
+    a function of alpha, f smooths the rate as build_f_eps(eps_for(alpha)).
     """
-    if quad is None:
-        quad = QuadratureConfig(omega_max=(grid_kw or {}).get("omega_max", DEFAULT_OMEGA_MAX))
-    sol_sym = waterfill_symbol(spec, S, quad)
+    omega_max = (grid_kw or {}).get("omega_max", DEFAULT_OMEGA_MAX)
+    sol_sym = waterfill_symbol(spec, S, density, omega_max)
     B = sol_sym.B
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
@@ -203,9 +178,9 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
         rec.capacity_symbol = sol_sym.capacity_rate
 
         r = rate_log
-        if eps_schedule is not None:
-            rec.eps = eps_schedule.value_for(rec.alpha)
-            r = build_f_eps("log", rec.eps)
+        if eps_for is not None:
+            rec.eps = eps_for(rec.alpha)
+            r = build_f_eps(rec.eps)
         f = lambda v: r(B * np.asarray(v, dtype=float))
 
         tr_f_plp = float(np.sum(f(lam_in)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError
+from .errors import AliasingError, DomainError
 from .families import SymbolSpec, sample_symbol
 from .grid import Grid
 
@@ -139,6 +139,15 @@ def quantize(spec: SymbolSpec, grid: Grid) -> DiscreteOperator:
     return DiscreteOperator(blocks=blocks, grid=grid, hermitian_defect=skew_norm(blocks))
 
 
+def _phase(s: float, sigma: np.ndarray) -> np.ndarray:
+    """tau = e^{i 2 pi s sigma}; DomainError where 2 pi s sigma overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = np.exp(2j * np.pi * s * sigma)
+    if not np.isfinite(tau).all():
+        raise DomainError(f"e^(i 2 pi s sigma) is not finite at s = {s}")
+    return tau
+
+
 def order_differences(spec: SymbolSpec, s: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Fourier blocks of the quantization-order differences T and T', tau = e^{i 2 pi s sigma}.
 
@@ -147,7 +156,7 @@ def order_differences(spec: SymbolSpec, s: float, grid: Grid) -> tuple[np.ndarra
     """
     _check_aliasing(grid)
     sigma = sample_symbol(spec, grid, rows=slice(_block_size(spec, grid)))
-    tau = np.exp(2j * np.pi * s * sigma)
+    tau = _phase(s, sigma)
     return (_fourier_blocks(np.ones_like(sigma), grid, tau) - _fourier_blocks(tau, grid),
             _fourier_blocks(sigma, grid, tau) - _fourier_blocks(sigma * tau, grid))
 
@@ -165,7 +174,7 @@ def product_deviations(spec: SymbolSpec, s_values, grid: Grid):
     sigma = sample_symbol(spec, grid, rows=slice(b))
     a_sigma = _fourier_blocks(sigma, grid)
     for s in s_values:
-        tau = np.exp(2j * np.pi * s * sigma)
+        tau = _phase(s, sigma)
         # Fourier blocks multiply and subtract like their operators
         yield a_sigma @ (_fourier_blocks(tau - 1.0, grid) + np.eye(b)) \
             - _fourier_blocks(sigma * tau, grid)

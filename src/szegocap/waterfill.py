@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NoCapacityError, UnsupportedSymbolError
 from .families import SymbolSpec, eval_symbol
+from .grid import DEFAULT_OMEGA_MAX, DEFAULT_QUAD_DENSITY
 
 
 def rate_log(x) -> np.ndarray:
@@ -27,15 +28,6 @@ def rate_log(x) -> np.ndarray:
     out = np.zeros_like(x)
     act = x >= 1.0
     out[act] = np.log(x[act])
-    return out
-
-
-def power_gap(x) -> np.ndarray:
-    """p(x) = (x - 1)/x on [1, inf), zero elsewhere."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    act = x >= 1.0
-    out[act] = (x[act] - 1.0) / x[act]
     return out
 
 
@@ -53,24 +45,15 @@ def smoothstep(t) -> np.ndarray:
     return out
 
 
-_H_TAGS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "log": np.log,
-    "power_gap": lambda x: (x - 1.0) / x,
-}
-
-
-def build_f_eps(h: str, eps: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Smooth surrogate f_eps(x) = h(x) * step((x-1)/eps), rolled off to zero
+def build_f_eps(eps: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Smooth surrogate f_eps(x) = log(x) * step((x-1)/eps), rolled off to zero
     on [16, 17] so the result has compact support.
 
-    h is a tag, 'log' or 'power_gap'.  f_eps agrees with h(x) * chi_[1,inf)
-    exactly for x <= 1 and 1 + eps <= x <= 16, so eps must lie in (0, 15).
+    f_eps agrees with the rate r(x) = log(x) * chi_[1,inf) exactly for x <= 1
+    and 1 + eps <= x <= 16, so eps must lie in (0, 15).
     """
     if not 0.0 < eps < 15.0:
         raise DomainError(f"eps must lie in (0, 15), got {eps}")
-    if h not in _H_TAGS:
-        raise DomainError(f"unknown h tag {h!r}; known: {sorted(_H_TAGS)}")
-    h_fn = _H_TAGS[h]
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -78,7 +61,7 @@ def build_f_eps(h: str, eps: float) -> Callable[[np.ndarray], np.ndarray]:
         pos = x > 1.0
         if np.any(pos):
             xp = x[pos]
-            out[pos] = (h_fn(xp) * smoothstep((xp - 1.0) / eps)
+            out[pos] = (np.log(xp) * smoothstep((xp - 1.0) / eps)
                         * (1.0 - smoothstep(xp - 16.0)))
         return out
 
@@ -162,6 +145,8 @@ def waterfill_discrete(spectrum, S: float, alpha: float) -> WaterfillSolution:
         raise DomainError(f"power budget S must be nonnegative, got {S}")
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
+    if not np.isfinite(1.0 / alpha):
+        raise DomainError(f"alpha {alpha} is too small: the weight 1/alpha overflows")
     values = np.asarray(spectrum, dtype=float)
     if not np.all(np.isfinite(values)):
         raise DomainError(f"eigenvalues must be finite, got {values[~np.isfinite(values)][:5]}")
@@ -172,44 +157,29 @@ def waterfill_discrete(spectrum, S: float, alpha: float) -> WaterfillSolution:
     return _solve_level(pos, weights, float(S))
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tensor quadrature for the symbol water-fill: x on one period cell
-    (uniform, periodic), omega on [-omega_max, omega_max] (trapezoid)."""
-    density: int = 256
-    omega_max: float = 8.0
-
-    def x_nodes(self) -> np.ndarray:
-        return np.arange(self.density) / self.density
-
-    def omega_nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        n = 2 * int(round(self.omega_max * self.density)) + 1
-        nodes = np.linspace(-self.omega_max, self.omega_max, n)
-        w = np.full(n, 2.0 * self.omega_max / (n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return nodes, w
-
-
-def waterfill_symbol(spec: SymbolSpec, S: float,
-                     quad: QuadratureConfig | None = None) -> WaterfillSolution:
+def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DENSITY,
+                     omega_max: float = DEFAULT_OMEGA_MAX) -> WaterfillSolution:
     """Water-fill the continuous symbol: rate = integral of r(B sigma) over one
-    period cell x in [0,1) and the truncated frequency axis."""
+    period cell x in [0,1) and the truncated frequency axis.
+
+    The tensor quadrature takes `density` uniform (periodic) nodes in x and a
+    trapezoid of 2 round(omega_max density) + 1 nodes on [-omega_max, omega_max].
+    """
     if S < 0:
         raise DomainError(f"power budget S must be nonnegative, got {S}")
-    if quad is None:
-        quad = QuadratureConfig()
-    if not spec.time_invariant:
-        if spec.period_x is None or abs(spec.period_x - 1.0) > 1e-12:
-            raise UnsupportedSymbolError(
-                "continuous water-filling needs a time-invariant or 1-periodic symbol")
+    if not spec.time_invariant and (spec.period_x is None or abs(spec.period_x - 1.0) > 1e-12):
+        raise UnsupportedSymbolError(
+            "continuous water-filling needs a time-invariant or 1-periodic symbol")
 
-    omega, w_om = quad.omega_nodes_weights()
+    n = 2 * int(round(omega_max * density)) + 1
+    omega = np.linspace(-omega_max, omega_max, n)
+    w_om = np.full(n, 2.0 * omega_max / (n - 1))
+    w_om[[0, -1]] *= 0.5
     if spec.time_invariant:
         sigma = np.asarray(eval_symbol(spec, 0.0, omega), dtype=float)[None, :]
         w_x = 1.0
     else:
-        x = quad.x_nodes()
+        x = np.arange(density) / density
         sigma = np.asarray(eval_symbol(spec, x[:, None], omega[None, :]), dtype=float)
         w_x = 1.0 / x.size
 

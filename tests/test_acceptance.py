@@ -16,8 +16,8 @@ from scipy import stats
 
 import szegocap as sc
 from szegocap.families import default_envelope, envelope_integral
-from szegocap.harness import (run_convergence_sweep, run_symbol_calculus_check,
-                              run_trace_norm_scaling)
+from szegocap.harness import (fit_affine, run_convergence_sweep,
+                              run_symbol_calculus_check, run_trace_norm_scaling)
 from szegocap.operators import assemble, order_differences
 from szegocap.spectral import eigh_matrix
 from szegocap.waterfill import sup_abs_second_derivative
@@ -129,7 +129,7 @@ def test_criterion_03_quadratic_trace_identity():
 def test_criterion_04_stability_ratio_bounded(band_bundle):
     # band_constant scaled to c=2 so the rate kink at 1 sits inside the spectrum
     eps = 0.1
-    f = sc.build_f_eps("log", eps)
+    f = sc.build_f_eps(eps)
     ratios = []
     for alpha in BAND_ALPHAS:
         data = band_bundle[alpha]
@@ -184,6 +184,17 @@ def test_criterion_06_symbol_calculus_driver(q_report):
           f"slope={fit.slope:.4f} ci95_hi={fit.ci95_hi:.4f}")
     check(6, "Q_alpha(0.5)/alpha decreasing and log-log slope < 1 at 95% confidence",
           monotone and fit.ci95_hi < 1.0)
+
+
+def test_symbol_calculus_deviation_is_affine_in_alpha(q_report):
+    """Beside criterion 6: Q_alpha(0.5) is affine in alpha to rounding
+    (about 0.6044 alpha + 0.0718), so criterion 6's log-log slope below 1
+    comes from the positive offset, not from sub-linear growth."""
+    alphas = [rec.alpha for rec in q_report.records]
+    q = [rec.q_alpha[0.5] for rec in q_report.records]
+    fit = fit_affine(alphas, q)
+    print(f"  Q = {fit.slope:.13f} alpha + {fit.intercept:.7f}, rms resid {fit.rms_resid:.2e}")
+    assert fit.rms_resid <= 1e-10 * max(q) and fit.slope >= 0.5
 
 
 def test_criterion_07a_hs_norm_scaling(tracenorm_report):

@@ -271,6 +271,37 @@ def test_eps_beyond_the_roll_off_exits_2(command, capsys):
     assert "eps_schedule.eps" in err and out == ""
 
 
+@pytest.mark.parametrize("flags", [["check-tracenorm", "--s", "1e308"],
+                                   ["check-product", "--s-values", "1e308"]])
+def test_overflowing_phase_is_recorded_per_alpha(tmp_path, capsys, flags):
+    # 2 pi s sigma overflows, so tau is NaN; the SVD raised LinAlgError
+    out_path = tmp_path / "r.json"
+    code, out, err = run_cli(flags + ["--family", "cosine_gauss", "--alphas", "2",
+                                      "--output", str(out_path)], capsys)
+    assert code == 0, err
+    [rec] = json.loads(out_path.read_text())["records"]
+    assert rec["extra"]["error"].startswith("DomainError: e^(i 2 pi s sigma) is not finite")
+
+
+@pytest.mark.parametrize("command", ["check-hs", "check-stability"])
+@pytest.mark.parametrize("family,param", [
+    ("band_constant", "c=1e200"), ("band_constant", "W=1e300"),
+    ("square_smooth", "c=1e200"), ("cosine_gauss", "w=1e200")])
+def test_overflowing_envelope_exits_2(capsys, command, family, param):
+    # Python-float ** in the family's psi raised OverflowError
+    code, out, err = run_cli([command, "--family", family, "--param", param,
+                              "--alphas", "2"], capsys)
+    assert code == 2
+    assert "kernel envelope" in err and "overflows" in err and "Traceback" not in err
+
+
+def test_waterfill_alpha_with_overflowing_weight_exits_5(capsys):
+    # 1/alpha is inf; the level solver divided by zero
+    code, out, err = run_cli(["waterfill", "--eigs", "1,2", "--alpha", "1e-310"], capsys)
+    assert code == 5
+    assert "1/alpha overflows" in err and out == ""
+
+
 def test_check_hs_envelope_follows_the_grids_band_edge(capsys):
     # the envelope's ringing floor comes from this grid's band edge, 4
     code, out, err = run_cli(["check-hs", "--family", "cosine_gauss", "--omega-max", "4",

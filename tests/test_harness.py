@@ -3,13 +3,11 @@ import pytest
 
 import szegocap as sc
 from szegocap.errors import ConfigurationError, DomainError
-from szegocap.harness import (EpsSchedule, fit_loglog,
-                              run_convergence_sweep, run_hs_boundary_check,
+from szegocap.harness import (fit_loglog, run_convergence_sweep, run_hs_boundary_check,
                               run_stability_check, run_symbol_calculus_check,
                               run_trace_norm_scaling)
 from szegocap.reports import report_csv
 from szegocap.spectral import eigh_matrix
-from szegocap.waterfill import QuadratureConfig
 
 
 COSINE = sc.make_symbol("cosine_gauss")
@@ -46,8 +44,7 @@ def test_convergence_records_and_fits():
 def test_eps_schedule_coupling_errors_decrease():
     # the eps-bias and the restriction bias carry opposite signs and cancel
     # near alpha ~ 8, so the decrease is asserted endpoint-to-endpoint
-    sched = EpsSchedule(mode="alpha_power", delta=0.125)
-    rep = run_convergence_sweep(COSINE, 1.0, [4, 8, 16], eps_schedule=sched)
+    rep = run_convergence_sweep(COSINE, 1.0, [4, 8, 16], eps_for=lambda a: a ** -0.125)
     errs = [abs(r.error_total) for r in rep.records]
     assert errs[-1] < errs[0]
     eps = [r.eps for r in rep.records]
@@ -76,7 +73,7 @@ def test_stability_linear_function_vanishes():
 
 
 def test_stability_padding_guard():
-    f = sc.build_f_eps("log", 0.1)
+    f = sc.build_f_eps(0.1)
     with pytest.raises(ConfigurationError):
         run_stability_check(BAND, f, [4])          # 1/z^2 envelope tail >> 1e-8
     rep = run_stability_check(BAND, f, [4, 8], padding_tol=1.0)
@@ -150,7 +147,7 @@ GUARDED = {
     # the symbol water-fill's quadrature does not grow with n_x; at the default
     # density it alone peaks at 101 MB traced
     "sweep": lambda alphas, grid_kw: run_convergence_sweep(
-        COSINE, 1.0, alphas, grid_kw, QuadratureConfig(density=16)),
+        COSINE, 1.0, alphas, grid_kw, density=16),
     "check-product": lambda alphas, grid_kw: run_symbol_calculus_check(
         COSINE, [0.5], alphas, grid_kw),
     "check-tracenorm": lambda alphas, grid_kw: run_trace_norm_scaling(

@@ -118,6 +118,13 @@ def test_non_finite_grid_arguments_raise_domain_error(name, value):
         sc.make_grid(**{"alpha": 2.0, name: value})
 
 
+def test_off_lattice_band_edge_raises_domain_error():
+    # omega_max / h_omega = 576.0000000144: a tolerance of 1e-9 * omega_max
+    # accepted it, and quantize then gave one dense 2304 x 2304 block
+    with pytest.raises(DomainError, match="omega_max"):
+        sc.make_grid(128, omega_max=4.0000000001)
+
+
 def test_hermitize_fixed_point_and_defect():
     grid = sc.make_grid(2)
     h = sc.hermitize(sc.quantize(sc.make_symbol("cosine_gauss"), grid))
