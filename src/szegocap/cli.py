@@ -48,7 +48,7 @@ class ConfigFieldError(ConfigurationError):
 class _Field(NamedTuple):
     """One numeric config field and its command-line flag."""
     path: str          # "power_S", or "grid.h_x" for a key of the grid object
-    type: str          # float | int (truncated) | floats | ints (non-empty lists)
+    type: str          # float | int | floats | ints (non-empty lists)
     bound: str         # "", "positive" or "nonnegative"; of every entry for lists
     default: object    # None makes the field nullable
     flag: str
@@ -119,7 +119,10 @@ def _field_value(f: _Field, v):
     if f.type == "float":
         return _number(f.path, v, f.bound)
     if f.type == "int":
-        return int(_number(f.path, v, f.bound))
+        value = _number(f.path, v, f.bound)
+        if value != int(value):
+            raise ConfigFieldError(f.path, f"must be an integer, got {v}")
+        return int(value)
     if not isinstance(v, list) or not v or not all(map(_is_number, v)):
         raise ConfigFieldError(f.path, f"expected a non-empty list of finite numbers, got {v!r}")
     if f.bound and not all(_in_bound(f.bound, u) for u in v):

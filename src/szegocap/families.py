@@ -263,6 +263,8 @@ def sample_symbol(spec: SymbolSpec, grid, rows=slice(None)) -> np.ndarray:
     return np.asarray(eval_symbol(spec, x, omega), dtype=float)
 
 
+# an overflow in here ends in the typed error below, so numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def default_envelope(spec: SymbolSpec, omega_max: float) -> KernelEnvelope:
     """Family envelope describing the kernels the quantizer builds on a grid
     with band edge omega_max.

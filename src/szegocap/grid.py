@@ -54,6 +54,10 @@ class Grid:
         x = self.x_points()
         return (x > 0.0) & (x < self.alpha)
 
+    def window_counts(self, b: int) -> np.ndarray:
+        """How many window rows i have i mod b = r, for r = 0, ..., b - 1."""
+        return np.bincount(np.flatnonzero(self.window_mask()) % b, minlength=b)
+
 
 def make_grid(alpha: float,
               h_x: float = DEFAULT_H_X,

@@ -79,9 +79,14 @@ def fit_loglog(xs, ys) -> FitResult | None:
 
 
 def fit_affine(xs, ys) -> FitResult:
-    """Least-squares y = a + b x, reported with the residual RMS."""
+    """Least-squares y = a + b x, reported with the residual RMS.
+
+    The fit runs on ys divided by the power of two at or below their largest
+    magnitude, which is exact, so values near the top of the float range do
+    not overflow in its sums of squares."""
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(ys).max()))[1] - 1)
+    ys = np.asarray(ys, dtype=float) / scale
     res = stats.linregress(xs, ys)
     n = xs.size
     tcrit = float(stats.t.ppf(0.975, n - 2)) if n > 2 else math.inf
@@ -90,11 +95,11 @@ def fit_affine(xs, ys) -> FitResult:
     # 1 - r^2, which on an exact law reads 0 or at least about sqrt(eps)
     stderr = math.sqrt(np.sum(resid ** 2) / (n - 2) / np.sum((xs - xs.mean()) ** 2)) \
         if n > 2 else 0.0
-    return FitResult(slope=float(res.slope), intercept=float(res.intercept),
-                     stderr=stderr, r2=float(res.rvalue ** 2),
-                     ci95_lo=float(res.slope - tcrit * stderr),
-                     ci95_hi=float(res.slope + tcrit * stderr),
-                     n=n, rms_resid=float(np.sqrt(np.mean(resid ** 2))))
+    return FitResult(slope=float(res.slope * scale), intercept=float(res.intercept * scale),
+                     stderr=stderr * scale, r2=float(res.rvalue ** 2),
+                     ci95_lo=float(res.slope - tcrit * stderr) * scale,
+                     ci95_hi=float(res.slope + tcrit * stderr) * scale,
+                     n=n, rms_resid=float(np.sqrt(np.mean(resid ** 2))) * scale)
 
 
 def _check_alphas(alphas) -> list[int]:
@@ -186,9 +191,11 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
         tr_f_plp = float(np.sum(f(lam_in)))
         tr_f_l = window_trace(herm, f)
         # tr_a of the quantized f(sigma): h_x times the omega-quadrature of
-        # f(sigma(x_i, .)) summed over the window rows
-        f_sigma = np.asarray(f(sample_symbol(spec, grid, rows=grid.window_mask())), dtype=float)
-        tr_l_fsigma = float(grid.h_x * (f_sigma * grid.omega_weights()).sum())
+        # f(sigma(x_i, .)) summed over the window rows; sigma repeats every
+        # b rows, so row r of one period counts once per window row = r mod b
+        b = herm.blocks.shape[1]
+        f_sigma = np.asarray(f(sample_symbol(spec, grid, rows=slice(b))), dtype=float)
+        tr_l_fsigma = float(grid.h_x * (grid.window_counts(b) @ f_sigma @ grid.omega_weights()))
 
         rec.error_total = (tr_f_plp - tr_l_fsigma) / rec.alpha
         rec.error_stability = (tr_f_plp - tr_f_l) / rec.alpha
@@ -287,8 +294,10 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
         # by Parseval over the block index, row u b + r has the squared norm
         # (1/m) sum_k ||row r of A_k||^2 for every u
         row_sq = (np.abs(op.blocks) ** 2).sum(axis=(0, 2)) / m
-        hs_full_sq = float(np.bincount(np.flatnonzero(mask) % b, minlength=b) @ row_sq)
+        hs_full_sq = float(grid.window_counts(b) @ row_sq)
         hs_cross_sq = float(np.sum(np.abs(assemble(op.blocks, mask, ~mask)) ** 2))
+        if not all(map(math.isfinite, (hs_full_sq, hs_cross_sq, rec.alpha * psi_l1))):
+            raise DomainError(f"a Hilbert-Schmidt value overflows at alpha = {rec.alpha}")
         rec.hs_cross_norm = hs_cross_sq
         rec.extra.update({
             "hs_full_sq": hs_full_sq,

@@ -25,6 +25,7 @@ from .families import SymbolSpec, sample_symbol
 from .grid import Grid
 
 _LATTICE_TOL = 1e-9
+_REAL_CAST_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +60,15 @@ def assemble(blocks: np.ndarray, rows=None, cols=None) -> np.ndarray:
     rows, cols = _indices(rows, m * b), _indices(cols, m * b)
     shift = (rows[:, None] // b - cols[None, :] // b) % m
     return first_col[shift, (rows % b)[:, None], (cols % b)[None, :]]
+
+
+def real_cast(matrix: np.ndarray) -> np.ndarray:
+    """Drop a numerically negligible imaginary part (speeds up LAPACK paths)."""
+    if np.iscomplexobj(matrix):
+        scale = max(np.abs(matrix.real).max(), 1e-300)
+        if np.abs(matrix.imag).max() <= _REAL_CAST_TOL * scale:
+            return np.ascontiguousarray(matrix.real)
+    return matrix
 
 
 def _indices(mask, n: int) -> np.ndarray:
@@ -187,6 +197,28 @@ def hermitize(a: DiscreteOperator) -> DiscreteOperator:
 
 
 def window_block(a: DiscreteOperator) -> np.ndarray:
-    """Submatrix of rows and columns inside the window [0, alpha]."""
-    mask = a.grid.window_mask()
-    return assemble(a.blocks, mask, mask)
+    """Submatrix of rows and columns inside the window [0, alpha], equal entry
+    for entry to assemble(a.blocks, mask, mask).
+
+    It is copied from the first block column C_d (see `assemble`), real when
+    real_cast finds C's imaginary part negligible.  The n window rows start
+    r0 rows into a block row and span nb block rows; block row u of that
+    nb b x nb b block-Toeplitz matrix holds C_{u - v} for v = 0, ..., nb - 1,
+    and the window is its slice [r0:r0 + n, r0:r0 + n] (a view when r0 > 0
+    or n < nb b).  An empty window gives a 0 x 0 array.
+    """
+    rows = np.flatnonzero(a.grid.window_mask())
+    n = rows.size
+    if n == 0:
+        return np.zeros((0, 0))
+    m, b, _ = a.blocks.shape
+    first_col = real_cast(a.blocks if m == 1 else np.fft.ifft(a.blocks, axis=0))
+    r0 = int(rows[0]) % b
+    nb = -(-(r0 + n) // b)
+    # diag[j] = C_{nb - 1 - j}, so block row u is diag[nb - 1 - u:2 nb - 1 - u]
+    diag = first_col[np.arange(nb - 1, -nb, -1) % m]
+    out = np.empty((nb * b, nb * b), dtype=first_col.dtype)
+    block_rows = out.reshape(nb, b, nb, b)
+    for u in range(nb):
+        block_rows[u] = diag[nb - 1 - u:2 * nb - 1 - u].swapaxes(0, 1)
+    return out[r0:r0 + n, r0:r0 + n]

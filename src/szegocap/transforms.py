@@ -65,7 +65,8 @@ def envelope_check(spec: SymbolSpec, env: KernelEnvelope, grid: Grid) -> Envelop
     k2 = np.abs(kernel) ** 2
     psi_z = env.psi(z)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # psi / |k|^2 may overflow to inf, which passes as it should
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(k2 > 0, psi_z / np.maximum(k2, 1e-300), np.inf)
     ratio = np.where(keep, ratio, np.inf)
     worst = float(ratio.min())

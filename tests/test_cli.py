@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -286,13 +287,35 @@ def test_overflowing_phase_is_recorded_per_alpha(tmp_path, capsys, flags):
 @pytest.mark.parametrize("command", ["check-hs", "check-stability"])
 @pytest.mark.parametrize("family,param", [
     ("band_constant", "c=1e200"), ("band_constant", "W=1e300"),
-    ("square_smooth", "c=1e200"), ("cosine_gauss", "w=1e200")])
+    ("square_smooth", "c=1e200"), ("cosine_gauss", "w=1e200"), ("two_tone", "c=1e200")])
 def test_overflowing_envelope_exits_2(capsys, command, family, param):
-    # Python-float ** in the family's psi raised OverflowError
-    code, out, err = run_cli([command, "--family", family, "--param", param,
-                              "--alphas", "2"], capsys)
+    # Python-float ** in the family's psi raised OverflowError; two_tone's
+    # numpy psi overflows to inf, and numpy must not warn about it first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli([command, "--family", family, "--param", param,
+                                  "--alphas", "2"], capsys)
     assert code == 2
     assert "kernel envelope" in err and "overflows" in err and "Traceback" not in err
+
+
+def test_check_hs_near_float_max_records_overflow_per_alpha(tmp_path, capsys):
+    # |sigma|^2 = 1e306: alpha ||psi||_1 overflows at alpha = 64, and the fits
+    # over the other alphas stay finite
+    out_path = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["check-hs", "--family", "band_constant", "--param", "c=1e153",
+                                  "--output", str(out_path)], capsys)
+    assert code == 0, err
+    report = json.loads(out_path.read_text())
+    errors = [r["extra"].get("error") for r in report["records"]]
+    assert errors == [None, None, None,
+                      "DomainError: a Hilbert-Schmidt value overflows at alpha = 64"]
+    fits = report["fits"]
+    assert set(fits) == {"hs_cross_vs_log_alpha", "hs_cross_vs_alpha"}
+    assert all(math.isfinite(v) for fit in fits.values() for v in fit.values())
+    assert math.isfinite(report["summary"]["resid_ratio_linear_over_log"])
 
 
 def test_waterfill_alpha_with_overflowing_weight_exits_5(capsys):
@@ -450,6 +473,16 @@ def test_non_finite_flags_exit_2(capsys, flags, field):
     code, out, err = run_cli(flags, capsys)
     assert code == 2
     assert repr(field) in err
+
+
+@pytest.mark.parametrize("command,value", [("capacity", "0.5"), ("sweep", "0.4"),
+                                           ("capacity", "16.5")])
+def test_non_integer_quad_density_exits_2(capsys, command, value):
+    # truncated, 0.5 became 0 and the symbol water-fill divided by zero
+    code, out, err = run_cli([command, "--family", "cosine_gauss", "--alphas", "2",
+                              "--quad-density", value], capsys)
+    assert code == 2
+    assert repr("grid.quad_density") in err and "integer" in err and out == ""
 
 
 def test_out_of_memory_exits_5(monkeypatch, capsys):

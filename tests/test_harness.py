@@ -3,11 +3,12 @@ import pytest
 
 import szegocap as sc
 from szegocap.errors import ConfigurationError, DomainError
-from szegocap.harness import (fit_loglog, run_convergence_sweep, run_hs_boundary_check,
-                              run_stability_check, run_symbol_calculus_check,
-                              run_trace_norm_scaling)
+from szegocap.families import sample_symbol
+from szegocap.harness import (fit_affine, fit_loglog, run_convergence_sweep,
+                              run_hs_boundary_check, run_stability_check,
+                              run_symbol_calculus_check, run_trace_norm_scaling)
 from szegocap.reports import report_csv
-from szegocap.spectral import eigh_matrix
+from szegocap.spectral import eigh_matrix, window_trace
 
 
 COSINE = sc.make_symbol("cosine_gauss")
@@ -39,6 +40,31 @@ def test_convergence_records_and_fits():
     assert diffs[2] < diffs[0]
     assert "capacity_abs_diff" in rep.fits
     assert rep.summary["capacity_symbol"] > 0
+
+
+@pytest.mark.parametrize("grid_kw", [{}, {"padding": 8.5}, {"padding": 2.25}],
+                         ids=["aligned", "unaligned", "m=1"])
+@pytest.mark.parametrize("name", ["band_constant", "cosine_gauss", "square_smooth",
+                                  "two_tone"])
+def test_sweep_symbol_trace_from_one_period(name, grid_kw):
+    # tr_a f(sigma), recovered from error_calculus = (tr_a f(L) - tr_a f(sigma)) / alpha,
+    # against the quadrature over every window row
+    spec = sc.make_symbol(name)
+    [rec] = run_convergence_sweep(spec, 1.0, [8], grid_kw).records
+    grid = sc.make_grid(8, **grid_kw)
+    f = lambda v: sc.rate_log(rec.extra["B_continuous"] * np.asarray(v))
+    tr_f_l = window_trace(sc.hermitize(sc.quantize(spec, grid)), f)
+    every_row = grid.h_x * np.sum(f(sample_symbol(spec, grid, rows=grid.window_mask()))
+                                  * grid.omega_weights())
+    assert tr_f_l - 8 * rec.error_calculus == pytest.approx(every_row, rel=1e-13)
+
+
+def test_sweep_with_an_empty_window_records_a_typed_error():
+    # alpha = 1 with h_x = 2: the two cell midpoints sit at -0.5 and 1.5
+    grid_kw = {"h_x": 2.0, "padding": 1.5, "omega_max": 0.25}
+    assert not sc.make_grid(1, **grid_kw).window_mask().any()
+    [rec] = run_convergence_sweep(COSINE, 1.0, [1], grid_kw).records
+    assert rec.extra["error"].startswith("NoCapacityError")
 
 
 def test_eps_schedule_coupling_errors_decrease():
@@ -237,3 +263,14 @@ def test_fit_stderr_on_an_exact_law_is_rounding_noise():
     assert fit.rms_resid <= 1e-15
     assert fit.stderr <= 1e-14
     assert fit.ci95_hi - fit.ci95_lo <= 1e-12
+
+
+def test_fit_affine_is_exact_under_power_of_two_scaling():
+    # values near the top of the float range fit as their scaled-down copies;
+    # unscaled, the squared residuals overflowed to inf CIs
+    xs = np.array([8.0, 16.0, 32.0, 64.0])
+    ys = np.array([0.83, 0.91, 0.99, 1.13])
+    fit, big = fit_affine(xs, ys), fit_affine(xs, ys * 2.0 ** 1023)
+    for name in ("slope", "intercept", "stderr", "ci95_lo", "ci95_hi", "rms_resid"):
+        assert getattr(big, name) == getattr(fit, name) * 2.0 ** 1023
+    assert big.r2 == fit.r2

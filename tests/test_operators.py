@@ -155,10 +155,29 @@ def test_operator_norm_bounded_by_sqrt_envelope_l1(name):
 
 
 def test_window_block_is_the_window_submatrix():
-    grid = sc.make_grid(2)
-    op = sc.quantize(sc.make_symbol("cosine_gauss"), grid)
+    # copied from the first block column C, the window is assemble's entry for
+    # entry, and real when C's imaginary part is negligible
+    grids = (("cosine_gauss", {}, 18),                 # window on a block edge
+             ("cosine_gauss", {"padding": 8.5}, 19),   # window 8 rows into a block
+             ("band_constant", {}, 288),               # b = 1
+             ("two_tone", {"padding": 2.25}, 1))       # one dense block
+    for name, kw, m in grids:
+        grid = sc.make_grid(2, **kw)
+        op = sc.quantize(sc.make_symbol(name), grid)
+        assert op.blocks.shape[0] == m
+        col = op.blocks if m == 1 else np.fft.ifft(op.blocks, axis=0)
+        assert np.abs(col.imag).max() <= 1e-12 * np.abs(col.real).max()
+        mask = grid.window_mask()
+        win = sc.window_block(op)
+        assert win.dtype == np.float64
+        assert np.array_equal(win, assemble(op.blocks, mask, mask).real)
+    # a complex first column keeps the window complex
+    rng = np.random.default_rng(0)
+    blocks = rng.standard_normal((19, 16, 16)) + 1j * rng.standard_normal((19, 16, 16))
+    grid = sc.make_grid(2, padding=8.5)
     mask = grid.window_mask()
-    assert np.array_equal(sc.window_block(op), op.matrix[np.ix_(mask, mask)])
+    win = sc.window_block(sc.DiscreteOperator(blocks, grid, 0.0))
+    assert np.array_equal(win, assemble(blocks, mask, mask))
 
 
 def test_nystrom_self_convergence():

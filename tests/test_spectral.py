@@ -4,7 +4,7 @@ import pytest
 import szegocap as sc
 from szegocap.errors import NonHermitianError
 from szegocap.operators import DiscreteOperator
-from szegocap.spectral import eigh_matrix, window_trace
+from szegocap.spectral import _is_reflection_symmetric, eigh_matrix, window_trace
 
 
 def _tiny_grid(n):
@@ -46,6 +46,42 @@ def test_eigen_residual_contract(n, complex_part):
     resid = np.linalg.norm(m @ vecs - vecs * vals, axis=0).max()
     assert resid / opnorm <= 1e-10
     assert np.all(np.diff(vals) <= 1e-12)
+
+
+def _assert_matches_eigvalsh(matrix):
+    vals, _ = eigh_matrix(matrix, want_basis=False)
+    expect = np.linalg.eigvalsh(matrix)[::-1]
+    assert np.abs(vals - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 65])
+@pytest.mark.parametrize("complex_part", [False, True])
+def test_reflection_split_matches_eigvalsh(n, complex_part):
+    # W = H + JHJ commutes with the reflection J: i -> n - 1 - i and is split;
+    # H itself is not
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((n, n))
+    if complex_part:
+        h = h + 1j * rng.standard_normal((n, n))
+    h = h + h.conj().T
+    w = h + h[::-1, ::-1]
+    assert _is_reflection_symmetric(w)
+    assert n == 1 or not _is_reflection_symmetric(h)
+    _assert_matches_eigvalsh(w)
+    _assert_matches_eigvalsh(h)
+
+
+@pytest.mark.parametrize("grid_kw", [{}, {"h_x": 1.0 / 15.0, "omega_max": 7.0}],
+                         ids=["alpha=8", "alpha=3,odd"])
+@pytest.mark.parametrize("name", ["band_constant", "cosine_gauss", "square_smooth",
+                                  "two_tone"])
+def test_window_spectrum_matches_eigvalsh(name, grid_kw):
+    # every family but square_smooth is symmetric under x -> alpha - x
+    grid = sc.make_grid(8 if not grid_kw else 3, **grid_kw)
+    win = sc.window_block(sc.hermitize(sc.quantize(sc.make_symbol(name), grid)))
+    assert win.shape[0] % 2 == (1 if grid_kw else 0)
+    assert _is_reflection_symmetric(win) == (name != "square_smooth")
+    _assert_matches_eigvalsh(win)
 
 
 def test_spectrum_sum_matches_trace():
