@@ -15,7 +15,7 @@ from .harness import (FitResult, SweepRecord, SweepReport, fit_loglog,
                       run_convergence_sweep, run_hs_boundary_check,
                       run_stability_check, run_symbol_calculus_check,
                       run_trace_norm_scaling)
-from .operators import DiscreteOperator, hermitize, quantize, window_block
+from .operators import DiscreteOperator, assemble, hermitize, quantize
 from .transforms import EnvelopeReport, envelope_check
 from .waterfill import (WaterfillSolution, build_f_eps, rate_log, smoothstep,
                         waterfill_discrete, waterfill_symbol)

@@ -43,6 +43,12 @@ class SymbolSpec:
     def param_map(self) -> dict[str, float]:
         return dict(self.params)
 
+    @property
+    def unit_periodic(self) -> bool:
+        """Time-invariant or 1-periodic in x: one period cell is x in [0, 1)."""
+        return self.time_invariant or (
+            self.period_x is not None and abs(self.period_x - 1.0) <= 1e-12)
+
 
 @dataclass(frozen=True)
 class KernelEnvelope:

@@ -50,13 +50,16 @@ class Grid:
         w[-1] *= 0.5
         return w
 
-    def window_mask(self) -> np.ndarray:
+    @property
+    def window(self) -> slice:
+        """The rows whose sample points lie inside the window (0, alpha)."""
         x = self.x_points()
-        return (x > 0.0) & (x < self.alpha)
+        return slice(int(np.searchsorted(x, 0.0, side="right")),
+                     int(np.searchsorted(x, self.alpha, side="left")))
 
     def window_counts(self, b: int) -> np.ndarray:
         """How many window rows i have i mod b = r, for r = 0, ..., b - 1."""
-        return np.bincount(np.flatnonzero(self.window_mask()) % b, minlength=b)
+        return np.bincount(np.arange(self.n_x)[self.window] % b, minlength=b)
 
 
 def make_grid(alpha: float,

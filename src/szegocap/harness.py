@@ -20,8 +20,7 @@ from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import (SymbolSpec, default_envelope, envelope_integral,
                        sample_symbol)
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, DEFAULT_QUAD_DENSITY, Grid, make_grid
-from .operators import (assemble, hermitize, order_differences, product_deviations,
-                        quantize, window_block)
+from .operators import assemble, hermitize, order_differences, product_deviations, quantize
 from .spectral import eigh_matrix, window_trace
 from .transforms import envelope_check, kernel_from_values
 from .waterfill import (build_f_eps, rate_log, sup_abs_second_derivative,
@@ -154,7 +153,7 @@ def _sweep(command: str, alphas, grid_kw: dict | None, measure,
 
 
 def _require_periodic(spec: SymbolSpec, check: str) -> None:
-    if not spec.time_invariant and (spec.period_x is None or abs(spec.period_x - 1.0) > 1e-12):
+    if not spec.unit_periodic:
         raise DomainError(f"{check} needs a 1-periodic or time-invariant symbol")
 
 
@@ -177,7 +176,8 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
         rec.hermitian_defect = op.hermitian_defect
         herm = hermitize(op)
 
-        lam_in = eigh_matrix(window_block(herm), want_basis=False)[0]
+        w = grid.window
+        lam_in = eigh_matrix(assemble(herm.blocks, w, w), want_basis=False)[0]
         sol = waterfill_discrete(lam_in, S, rec.alpha)
         rec.capacity_discrete = sol.capacity_rate
         rec.capacity_symbol = sol_sym.capacity_rate
@@ -236,7 +236,7 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
             f"padding_tol {padding_tol:.3e}; increase padding or loosen the tolerance")
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
-        mask = grid.window_mask()
+        w = grid.window
         rec.hermitian_defect = quantize(spec, grid).hermitian_defect
         # The spectral interval below feeds a finite-difference sup of f''
         # that moves by 1e-8 relative when lambda_max moves by a few ulps,
@@ -245,9 +245,9 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
         herm = 0.5 * (matrix + matrix.conj().T)
         del matrix
 
-        lam_in = eigh_matrix(herm[np.ix_(mask, mask)], want_basis=False)[0]
+        lam_in = eigh_matrix(herm[w, w], want_basis=False)[0]
         lam_full, basis = eigh_matrix(herm, want_basis=True)
-        wts = (np.abs(basis[mask, :]) ** 2).sum(axis=0)
+        wts = (np.abs(basis[w]) ** 2).sum(axis=0)
 
         tr_f_plp = float(np.sum(np.asarray(f(lam_in), dtype=float)))
         tr_f_l = float(np.sum(np.asarray(f(lam_full), dtype=float) * wts))
@@ -287,7 +287,7 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
     psi_l1 = envelope_integral(env)
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
-        mask = grid.window_mask()
+        w = grid.window
         op = quantize(spec, grid)
         rec.hermitian_defect = op.hermitian_defect
         m, b, _ = op.blocks.shape
@@ -295,7 +295,9 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
         # (1/m) sum_k ||row r of A_k||^2 for every u
         row_sq = (np.abs(op.blocks) ** 2).sum(axis=(0, 2)) / m
         hs_full_sq = float(grid.window_counts(b) @ row_sq)
-        hs_cross_sq = float(np.sum(np.abs(assemble(op.blocks, mask, ~mask)) ** 2))
+        cross = np.hstack([assemble(op.blocks, w, slice(w.start)),
+                           assemble(op.blocks, w, slice(w.stop, None))])
+        hs_cross_sq = float(np.sum(np.abs(cross) ** 2))
         if not all(map(math.isfinite, (hs_full_sq, hs_cross_sq, rec.alpha * psi_l1))):
             raise DomainError(f"a Hilbert-Schmidt value overflows at alpha = {rec.alpha}")
         rec.hs_cross_norm = hs_cross_sq
@@ -334,7 +336,7 @@ def run_symbol_calculus_check(spec: SymbolSpec, s_values, alphas,
     def measure(grid: Grid, rec: SweepRecord) -> None:
         rec.hermitian_defect = quantize(spec, grid).hermitian_defect
         for s, blocks in zip(s_values, product_deviations(spec, s_values, grid)):
-            rec.q_alpha[s] = _trace_norm(assemble(blocks, cols=grid.window_mask()))
+            rec.q_alpha[s] = _trace_norm(assemble(blocks, cols=grid.window))
 
     report, _ = _sweep("check-product", alphas, grid_kw, measure, fits={
         f"q_s{s:g}": lambda r, s=s: r.q_alpha[s] for s in s_values})
@@ -359,7 +361,7 @@ def run_trace_norm_scaling(spec: SymbolSpec, s: float, alphas,
             return
         norms = []
         for blocks in order_differences(spec, s, grid):
-            cols = assemble(blocks, cols=grid.window_mask())
+            cols = assemble(blocks, cols=grid.window)
             norms += [_trace_norm(cols), float(np.linalg.norm(cols))]
             del cols            # one n_x x window array at a time
         rec.tp_i1, rec.tp_i2, rec.extra["tp_prime_i1"], rec.extra["tp_prime_i2"] = norms

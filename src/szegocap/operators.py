@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import AliasingError, DomainError
 from .families import SymbolSpec, sample_symbol
@@ -47,19 +48,35 @@ class DiscreteOperator:
         return assemble(self.blocks)
 
 
-def assemble(blocks: np.ndarray, rows=None, cols=None) -> np.ndarray:
-    """Dense entries A[rows][:, cols] of the operator with these Fourier blocks.
+def assemble(blocks: np.ndarray, rows: slice = slice(None),
+             cols: slice = slice(None)) -> np.ndarray:
+    """Dense entries A[rows, cols] of the operator with these Fourier blocks.
 
-    rows and cols are boolean masks; None selects all.  The
-    first block column C_d = (1/m) sum_k A_k e^{2 pi i d k / m} is an inverse
-    FFT over k, and A[u b + r, v b + s] = C_{(u - v) mod m}[r, s].
+    rows and cols are contiguous ranges (step 1).  The first block column
+    C_d = (1/m) sum_k A_k e^{2 pi i d k / m} is an inverse FFT over k, real
+    when real_cast finds its imaginary part negligible, and
+    A[u b + r, v b + s] = C_{(u - v) mod m}[r, s].  The whole blocks that
+    cover the ranges form a block-Toeplitz matrix, copied at once from C laid
+    out by block offset, and the result is a slice of that copy.
     """
     m, b, _ = blocks.shape
+    r, c = range(m * b)[rows], range(m * b)[cols]
+    if r.step != 1 or c.step != 1:
+        raise ValueError(f"assemble takes contiguous ranges, got {rows} and {cols}")
+    u0, v0 = r.start // b, c.start // b
+    nu, nv = -(-(r.start + len(r)) // b) - u0, -(-(c.start + len(c)) // b) - v0
     # a length-1 transform is the identity; skip copying the dense block
-    first_col = blocks if m == 1 else np.fft.ifft(blocks, axis=0)
-    rows, cols = _indices(rows, m * b), _indices(cols, m * b)
-    shift = (rows[:, None] // b - cols[None, :] // b) % m
-    return first_col[shift, (rows % b)[:, None], (cols % b)[None, :]]
+    first_col = real_cast(blocks if m == 1 else np.fft.ifft(blocks, axis=0))
+    # diag[j] = C_{d0 + j}, so cover block (u, v) = C_{u0 + u - v0 - v} is
+    # diag[u + nv - 1 - v]: a strided view, as in scipy.linalg.toeplitz
+    d0 = u0 - v0 - nv + 1
+    diag = first_col[np.arange(d0, d0 + nu + nv - 1) % m]
+    del first_col       # only diag is held while the cover is copied
+    step, row_step, col_step = diag.strides
+    cover = as_strided(diag[max(nv - 1, 0):], shape=(nu, b, nv, b),
+                       strides=(step, row_step, -step, col_step), writeable=False)
+    r0, c0 = r.start - u0 * b, c.start - v0 * b
+    return np.ascontiguousarray(cover).reshape(nu * b, nv * b)[r0:r0 + len(r), c0:c0 + len(c)]
 
 
 def real_cast(matrix: np.ndarray) -> np.ndarray:
@@ -69,10 +86,6 @@ def real_cast(matrix: np.ndarray) -> np.ndarray:
         if np.abs(matrix.imag).max() <= _REAL_CAST_TOL * scale:
             return np.ascontiguousarray(matrix.real)
     return matrix
-
-
-def _indices(mask, n: int) -> np.ndarray:
-    return np.arange(n) if mask is None else np.flatnonzero(mask)
 
 
 def _conj_t(blocks: np.ndarray) -> np.ndarray:
@@ -194,31 +207,3 @@ def hermitize(a: DiscreteOperator) -> DiscreteOperator:
     """Hermitian part (A + A*)/2; the removed skew part is a.hermitian_defect."""
     blocks = 0.5 * (a.blocks + _conj_t(a.blocks))
     return DiscreteOperator(blocks=blocks, grid=a.grid, hermitian_defect=0.0)
-
-
-def window_block(a: DiscreteOperator) -> np.ndarray:
-    """Submatrix of rows and columns inside the window [0, alpha], equal entry
-    for entry to assemble(a.blocks, mask, mask).
-
-    It is copied from the first block column C_d (see `assemble`), real when
-    real_cast finds C's imaginary part negligible.  The n window rows start
-    r0 rows into a block row and span nb block rows; block row u of that
-    nb b x nb b block-Toeplitz matrix holds C_{u - v} for v = 0, ..., nb - 1,
-    and the window is its slice [r0:r0 + n, r0:r0 + n] (a view when r0 > 0
-    or n < nb b).  An empty window gives a 0 x 0 array.
-    """
-    rows = np.flatnonzero(a.grid.window_mask())
-    n = rows.size
-    if n == 0:
-        return np.zeros((0, 0))
-    m, b, _ = a.blocks.shape
-    first_col = real_cast(a.blocks if m == 1 else np.fft.ifft(a.blocks, axis=0))
-    r0 = int(rows[0]) % b
-    nb = -(-(r0 + n) // b)
-    # diag[j] = C_{nb - 1 - j}, so block row u is diag[nb - 1 - u:2 nb - 1 - u]
-    diag = first_col[np.arange(nb - 1, -nb, -1) % m]
-    out = np.empty((nb * b, nb * b), dtype=first_col.dtype)
-    block_rows = out.reshape(nb, b, nb, b)
-    for u in range(nb):
-        block_rows[u] = diag[nb - 1 - u:2 * nb - 1 - u].swapaxes(0, 1)
-    return out[r0:r0 + n, r0:r0 + n]

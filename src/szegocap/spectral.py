@@ -15,9 +15,9 @@ _REFLECTION_TOL = 1e-13
 def eigh_matrix(matrix: np.ndarray, want_basis: bool = True):
     """Descending eigendecomposition of a Hermitian matrix.
 
-    Without the basis, a matrix W that is symmetric under the reflection
-    J (index i -> n - 1 - i) to ||W - JWJ||_F <= 1e-13 ||W||_F is split
-    (Cantoni and Butler, Linear Algebra Appl. 13, 1976): the values are
+    Without the basis, a matrix W of even size n that is symmetric under the
+    reflection J (index i -> n - 1 - i) to ||W - JWJ||_F <= 1e-13 ||W||_F is
+    split (Cantoni and Butler, Linear Algebra Appl. 13, 1976): the values are
     those of S = (W + JWJ)/2, the union of the spectra of its two half-size
     blocks (see _reflection_halves).  By Weyl's inequality each moves from
     W's by at most ||W - S||_2 <= ||W - JWJ||_F / 2.  Any other matrix goes
@@ -27,7 +27,7 @@ def eigh_matrix(matrix: np.ndarray, want_basis: bool = True):
     if want_basis:
         vals, vecs = np.linalg.eigh(matrix)
         return vals[::-1].copy(), vecs[:, ::-1].copy()
-    if _is_reflection_symmetric(matrix):
+    if matrix.shape[0] % 2 == 0 and _is_reflection_symmetric(matrix):
         vals = np.concatenate([np.linalg.eigvalsh(h) for h in _reflection_halves(matrix)])
         return np.sort(vals)[::-1].copy(), None
     return np.linalg.eigvalsh(matrix)[::-1].copy(), None
@@ -64,36 +64,28 @@ def _sum_abs_sq(rows: np.ndarray) -> float:
 
 
 def _reflection_halves(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two blocks whose spectra make up that of S = (W + JWJ)/2.
+    """The two blocks whose spectra make up that of S = (W + JWJ)/2, n = 2k.
 
-    S commutes with J.  For n = 2k let A = S[:k, :k] and B = S[:k, k:]: the
+    S commutes with J.  With A = S[:k, :k] and B = S[:k, k:], the
     reflection-even eigenvectors [x; Jx] solve A + BJ and the odd ones
-    [x; -Jx] solve A - BJ.  For n = 2k + 1, B = S[:k, k + 1:], and the even
-    eigenvectors [x; t; Jx] have a middle entry t: in y = sqrt(2) x they
-    solve A + BJ bordered by sqrt(2) S[k, :k], sqrt(2) S[:k, k] and
-    S[k, k], a matrix of size k + 1.
+    [x; -Jx] solve A - BJ.
     """
     n = w.shape[0]
     k = n // 2
-    even = np.empty((n - k, n - k), dtype=w.dtype)
-    odd = np.empty((k, k), dtype=w.dtype)
+    even = np.empty((k, k), dtype=w.dtype)
+    odd = np.empty_like(even)
     step = _row_step(k)
     a = np.empty((min(step, k), k), dtype=w.dtype)
     bj = np.empty_like(a)
     for lo in range(0, k, step):
         hi = min(lo + step, k)
         ra, rb = a[:hi - lo], bj[:hi - lo]
-        np.add(w[lo:hi, :k], w[n - hi:n - lo, n - k:][::-1, ::-1], out=ra)     # 2 A
-        np.add(w[lo:hi, n - k:][:, ::-1], w[n - hi:n - lo, :k][::-1], out=rb)  # 2 BJ
-        np.add(ra, rb, out=even[lo:hi, :k])
+        np.add(w[lo:hi, :k], w[n - hi:n - lo, k:][::-1, ::-1], out=ra)     # 2 A
+        np.add(w[lo:hi, k:][:, ::-1], w[n - hi:n - lo, :k][::-1], out=rb)  # 2 BJ
+        np.add(ra, rb, out=even[lo:hi])
         np.subtract(ra, rb, out=odd[lo:hi])
-    even[:k, :k] *= 0.5
+    even *= 0.5
     odd *= 0.5
-    if n % 2:
-        root_half = np.sqrt(0.5)        # sqrt(2) times the half-sum
-        even[k, :k] = root_half * (w[k, :k] + w[k, n - k:][::-1])
-        even[:k, k] = root_half * (w[:k, k] + w[n - k:, k][::-1])
-        even[k, k] = w[k, k]
     return even, odd
 
 

@@ -167,7 +167,7 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
     """
     if S < 0:
         raise DomainError(f"power budget S must be nonnegative, got {S}")
-    if not spec.time_invariant and (spec.period_x is None or abs(spec.period_x - 1.0) > 1e-12):
+    if not spec.unit_periodic:
         raise UnsupportedSymbolError(
             "continuous water-filling needs a time-invariant or 1-periodic symbol")
 

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import szegocap as sc
-from szegocap.errors import ConfigurationError, DomainError
+from szegocap.errors import ConfigurationError, DomainError, UnsupportedSymbolError
 from szegocap.families import SymbolSpec, envelope_integral
 from szegocap.grid import DEFAULT_OMEGA_MAX
+from szegocap.harness import run_trace_norm_scaling
 
 ALL_FAMILIES = ("band_constant", "cosine_gauss", "square_smooth", "two_tone")
 
@@ -79,6 +81,21 @@ def test_values_finite_and_real(name):
     vals = sc.eval_symbol(spec, x, omega)
     assert np.all(np.isfinite(vals))
     assert vals.dtype == np.float64
+
+
+def test_unit_periodic_is_the_one_periodicity_rule():
+    # the symbol water-fill and the trace-norm check share the rule, each
+    # with its own error
+    assert all(sc.make_symbol(name).unit_periodic for name in ALL_FAMILIES)
+    base = sc.make_symbol("cosine_gauss")
+    assert dataclasses.replace(base, period_x=None, time_invariant=True).unit_periodic
+    for period in (None, 2.0, 1.0 + 1e-9):
+        spec = dataclasses.replace(base, period_x=period)
+        assert not spec.unit_periodic
+        with pytest.raises(UnsupportedSymbolError, match="needs a time-invariant or 1-periodic"):
+            sc.waterfill_symbol(spec, 1.0)
+        with pytest.raises(DomainError, match="trace-norm scaling needs a 1-periodic"):
+            run_trace_norm_scaling(spec, 0.5, [2])
 
 
 @pytest.mark.parametrize("name", ("cosine_gauss", "square_smooth", "two_tone"))

@@ -54,7 +54,7 @@ def test_sweep_symbol_trace_from_one_period(name, grid_kw):
     grid = sc.make_grid(8, **grid_kw)
     f = lambda v: sc.rate_log(rec.extra["B_continuous"] * np.asarray(v))
     tr_f_l = window_trace(sc.hermitize(sc.quantize(spec, grid)), f)
-    every_row = grid.h_x * np.sum(f(sample_symbol(spec, grid, rows=grid.window_mask()))
+    every_row = grid.h_x * np.sum(f(sample_symbol(spec, grid, rows=grid.window))
                                   * grid.omega_weights())
     assert tr_f_l - 8 * rec.error_calculus == pytest.approx(every_row, rel=1e-13)
 
@@ -62,7 +62,8 @@ def test_sweep_symbol_trace_from_one_period(name, grid_kw):
 def test_sweep_with_an_empty_window_records_a_typed_error():
     # alpha = 1 with h_x = 2: the two cell midpoints sit at -0.5 and 1.5
     grid_kw = {"h_x": 2.0, "padding": 1.5, "omega_max": 0.25}
-    assert not sc.make_grid(1, **grid_kw).window_mask().any()
+    grid = sc.make_grid(1, **grid_kw)
+    assert not range(grid.n_x)[grid.window]
     [rec] = run_convergence_sweep(COSINE, 1.0, [1], grid_kw).records
     assert rec.extra["error"].startswith("NoCapacityError")
 
@@ -83,12 +84,12 @@ def test_stability_quadratic_identity():
     alpha = 4
     grid = sc.make_grid(alpha)
     herm = sc.hermitize(sc.quantize(COSINE, grid))
-    mask = grid.window_mask()
-    lam_in, _ = eigh_matrix(sc.window_block(herm), want_basis=False)
+    w = grid.window
+    lam_in, _ = eigh_matrix(sc.assemble(herm.blocks, w, w), want_basis=False)
     lam_full, basis = eigh_matrix(herm.matrix)
-    wts = (np.abs(basis[mask, :]) ** 2).sum(axis=0)
+    wts = (np.abs(basis[w]) ** 2).sum(axis=0)
     diff = (np.sum(lam_in ** 2) - np.sum(lam_full ** 2 * wts)) / alpha
-    hs_cross = float(np.sum(np.abs(herm.matrix[mask][:, ~mask]) ** 2))
+    hs_cross = float(np.sum(np.abs(np.delete(herm.matrix[w], w, axis=1)) ** 2))
     assert diff == pytest.approx(-hs_cross / alpha, rel=1e-9)
 
 
@@ -208,10 +209,10 @@ def test_hs_full_sq_matches_dense_rows():
     for spec, grid_kw in ((COSINE, {}), (COSINE, {"padding": 2.25}), (BAND, {})):
         rec = run_hs_boundary_check(spec, [4], grid_kw).records[0]
         grid = sc.make_grid(4, **grid_kw)
-        rows = assemble(sc.quantize(spec, grid).blocks, grid.window_mask())
+        rows = assemble(sc.quantize(spec, grid).blocks, grid.window)
         assert rec.extra["hs_full_sq"] == pytest.approx(np.sum(np.abs(rows) ** 2), rel=1e-14)
         assert rec.hs_cross_norm == pytest.approx(
-            np.sum(np.abs(rows[:, ~grid.window_mask()]) ** 2), rel=1e-14)
+            np.sum(np.abs(np.delete(rows, grid.window, axis=1)) ** 2), rel=1e-14)
 
 
 def test_hs_boundary_check_band_at_long_windows():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,30 +155,87 @@ def test_operator_norm_bounded_by_sqrt_envelope_l1(name):
     assert norm <= bound + 1e-6
 
 
-def test_window_block_is_the_window_submatrix():
-    # copied from the first block column C, the window is assemble's entry for
-    # entry, and real when C's imaginary part is negligible
-    grids = (("cosine_gauss", {}, 18),                 # window on a block edge
-             ("cosine_gauss", {"padding": 8.5}, 19),   # window 8 rows into a block
-             ("band_constant", {}, 288),               # b = 1
-             ("two_tone", {"padding": 2.25}, 1))       # one dense block
-    for name, kw, m in grids:
-        grid = sc.make_grid(2, **kw)
-        op = sc.quantize(sc.make_symbol(name), grid)
-        assert op.blocks.shape[0] == m
-        col = op.blocks if m == 1 else np.fft.ifft(op.blocks, axis=0)
-        assert np.abs(col.imag).max() <= 1e-12 * np.abs(col.real).max()
-        mask = grid.window_mask()
-        win = sc.window_block(op)
-        assert win.dtype == np.float64
-        assert np.array_equal(win, assemble(op.blocks, mask, mask).real)
-    # a complex first column keeps the window complex
+def _index_formula(blocks):
+    """Reference: the dense A[u b + r, v b + s] = C_{(u - v) mod m}[r, s] with
+    the first block column C = ifft(blocks), entry by entry from an index
+    array."""
+    m, b, _ = blocks.shape
+    col = np.fft.ifft(blocks, axis=0)
+    i = np.arange(m * b)
+    return col[(i[:, None] // b - i[None, :] // b) % m, (i % b)[:, None], i % b]
+
+
+def _assemble_cases():
     rng = np.random.default_rng(0)
-    blocks = rng.standard_normal((19, 16, 16)) + 1j * rng.standard_normal((19, 16, 16))
-    grid = sc.make_grid(2, padding=8.5)
-    mask = grid.window_mask()
-    win = sc.window_block(sc.DiscreteOperator(blocks, grid, 0.0))
-    assert np.array_equal(win, assemble(blocks, mask, mask))
+    for name, kw, shape in (("cosine_gauss", {}, "m=18"),
+                            ("cosine_gauss", {"padding": 8.5}, "m=19"),
+                            ("band_constant", {}, "b=1"),
+                            ("two_tone", {"padding": 2.25}, "m=1")):
+        grid = sc.make_grid(2, **kw)
+        yield pytest.param(sc.quantize(sc.make_symbol(name), grid).blocks, False,
+                           id=f"{name}-{shape}")
+    for m, b in ((19, 16), (7, 1), (1, 5)):
+        blocks = rng.standard_normal((m, b, b)) + 1j * rng.standard_normal((m, b, b))
+        yield pytest.param(blocks, True, id=f"complex-m={m}-b={b}")
+    # the transform of a real first column: its inverse is real up to roundoff
+    yield pytest.param(np.fft.fft(rng.standard_normal((5, 3, 3)), axis=0), False,
+                       id="real-first-column")
+
+
+@pytest.mark.parametrize("blocks,stays_complex", _assemble_cases())
+def test_assemble_is_the_index_formula(blocks, stays_complex):
+    # any contiguous rows and columns, aligned to the blocks or not, and empty
+    m, b, _ = blocks.shape
+    n = m * b
+    dense = _index_formula(blocks)
+    if not stays_complex:
+        assert np.abs(dense.imag).max() <= 1e-12 * np.abs(dense.real).max()
+        dense = dense.real
+    ranges = (slice(None), slice(b, 3 * b), slice(n // 3, n - 2), slice(3, 4),
+              slice(n - 1, None), slice(-b - 2, None), slice(5, 5), slice(4, 2))
+    for rows in ranges:
+        for cols in ranges:
+            got = assemble(blocks, rows, cols)
+            assert got.dtype == dense.dtype
+            assert np.array_equal(got, dense[rows, cols]), (rows, cols)
+    with pytest.raises(ValueError):
+        assemble(blocks, slice(None, None, 2))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_assemble_window_columns_allocate_output_and_one_block_column(real):
+    # the n_x x window read allocates its output and one copy of the first
+    # block column laid out by block offset (its m blocks and the nv - 1
+    # that the wrap repeats), and no index array the size of the output
+    grid = sc.make_grid(32)
+    blocks = sc.quantize(sc.make_symbol("cosine_gauss"), grid).blocks
+    if not real:
+        blocks = blocks * np.exp(1j * np.arange(blocks.shape[0]))[:, None, None]
+    m, b, _ = blocks.shape
+    w = grid.window
+    nv = -(-w.stop // b) - w.start // b
+    tracemalloc.start()
+    try:
+        cols = assemble(blocks, cols=w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cols.shape == (grid.n_x, w.stop - w.start)
+    assert np.isrealobj(cols) == real
+    block_col = (m + nv - 1) * b * b * cols.itemsize
+    assert peak <= cols.nbytes + block_col + 2 ** 16, \
+        f"peak {peak} > output {cols.nbytes} + block column {block_col}"
+
+
+@pytest.mark.parametrize("alpha,kw", [(8, {}), (8, {"padding": 8.5}), (4, {"padding": 0.0}),
+                                      (3, {"h_x": 1.0 / 15.0, "omega_max": 7.0}),
+                                      (1, {"h_x": 2.0, "padding": 1.5, "omega_max": 0.25})],
+                         ids=["default", "padding=8.5", "padding=0", "odd", "empty"])
+def test_grid_window_is_the_rows_inside_the_window(alpha, kw):
+    grid = sc.make_grid(alpha, **kw)
+    x = grid.x_points()
+    assert np.array_equal(np.arange(grid.n_x)[grid.window],
+                          np.flatnonzero((x > 0.0) & (x < alpha)))
 
 
 def test_nystrom_self_convergence():
@@ -189,7 +247,8 @@ def test_nystrom_self_convergence():
         spec = sc.make_symbol(name)
         grid = sc.make_grid(4, h_x=h_x)
         herm = sc.hermitize(sc.quantize(spec, grid))
-        vals, _ = eigh_matrix(sc.window_block(herm), want_basis=False)
+        vals, _ = eigh_matrix(assemble(herm.blocks, grid.window, grid.window),
+                              want_basis=False)
         return vals
 
     for name, rel_cap in (("band_constant", 0.01), ("cosine_gauss", 0.10)):
@@ -276,9 +335,9 @@ def test_block_algebra_matches_dense(name, grid_id, exp_operator):
     spec = sc.make_symbol(name)
     a, b = sc.quantize(spec, grid), exp_operator(spec, S_PHASE, grid)
     da, db = dense_quadrature(spec, grid), dense_exp(spec, S_PHASE, grid)
-    mask = grid.window_mask()
+    w = grid.window
 
-    assert np.abs(sc.window_block(a) - da[np.ix_(mask, mask)]).max() <= 1e-12
+    assert np.abs(assemble(a.blocks, w, w) - da[w, w]).max() <= 1e-12
     assert np.abs(assemble(_conj_t(b.blocks)) - db.conj().T).max() <= 1e-12
     prod, dense_prod = a.blocks @ b.blocks, da @ db
     assert np.abs(assemble(prod) - dense_prod).max() <= 1e-12
@@ -294,7 +353,7 @@ def test_block_window_trace_matches_dense_eigh(name, grid_id):
     herm = sc.hermitize(sc.quantize(spec, grid))
     dense = dense_quadrature(spec, grid)
     lam, basis = eigh_matrix(0.5 * (dense + dense.conj().T))
-    weights = (np.abs(basis[grid.window_mask(), :]) ** 2).sum(axis=0)
+    weights = (np.abs(basis[grid.window]) ** 2).sum(axis=0)
     for f in (lambda x: x ** 2, lambda x: sc.rate_log(6.0 * x)):
         expect = float(np.sum(f(lam) * weights))
         assert window_trace(herm, f) == pytest.approx(expect, rel=1e-10)

@@ -169,7 +169,8 @@ def test_discrete_converges_to_time_invariant_closed_form():
     grid = sc.make_grid(32)
     herm = sc.hermitize(sc.quantize(spec, grid))
     from szegocap.spectral import eigh_matrix
-    vals, _ = eigh_matrix(sc.window_block(herm), want_basis=False)
+    vals, _ = eigh_matrix(sc.assemble(herm.blocks, grid.window, grid.window),
+                          want_basis=False)
     sol = sc.waterfill_discrete(vals, 1.0, 32.0)
     closed = 2 * 0.25 * math.log(1 + 1.0 / (2 * 0.25))
     assert sol.capacity_rate == pytest.approx(closed, rel=0.03)
