@@ -20,8 +20,9 @@ from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import (SymbolSpec, default_envelope, envelope_integral,
                        sample_symbol)
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, DEFAULT_QUAD_DENSITY, Grid, make_grid
-from .operators import assemble, hermitize, order_differences, product_deviations, quantize
-from .spectral import eigh_matrix, window_trace
+from .operators import (assemble, hermitize, order_differences, product_deviations, quantize,
+                        skew_norm)
+from .spectral import eigh_matrix, trace_norm, window_trace
 from .transforms import envelope_check, kernel_from_values
 from .waterfill import (build_f_eps, rate_log, sup_abs_second_derivative,
                         waterfill_discrete, waterfill_symbol)
@@ -108,13 +109,6 @@ def _check_alphas(alphas) -> list[int]:
         raise DomainError(
             f"alphas must be a non-empty list of distinct positive integers, got {alphas}")
     return [int(a) for a in alphas]
-
-
-def _trace_norm(matrix: np.ndarray) -> float:
-    """Schatten-1 norm; an exactly zero matrix skips the SVD."""
-    if np.linalg.norm(matrix) == 0.0:
-        return 0.0
-    return float(np.linalg.svd(matrix, compute_uv=False).sum())
 
 
 def _sweep(command: str, alphas, grid_kw: dict | None, measure,
@@ -334,9 +328,10 @@ def run_symbol_calculus_check(spec: SymbolSpec, s_values, alphas,
     s_values = [float(s) for s in s_values]
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
-        rec.hermitian_defect = quantize(spec, grid).hermitian_defect
-        for s, blocks in zip(s_values, product_deviations(spec, s_values, grid)):
-            rec.q_alpha[s] = _trace_norm(assemble(blocks, cols=grid.window))
+        a_sigma, deviations = product_deviations(spec, s_values, grid)
+        rec.hermitian_defect = skew_norm(a_sigma)
+        for s, blocks in zip(s_values, deviations):
+            rec.q_alpha[s] = trace_norm(assemble(blocks, cols=grid.window))
 
     report, _ = _sweep("check-product", alphas, grid_kw, measure, fits={
         f"q_s{s:g}": lambda r, s=s: r.q_alpha[s] for s in s_values})
@@ -362,7 +357,7 @@ def run_trace_norm_scaling(spec: SymbolSpec, s: float, alphas,
         norms = []
         for blocks in order_differences(spec, s, grid):
             cols = assemble(blocks, cols=grid.window)
-            norms += [_trace_norm(cols), float(np.linalg.norm(cols))]
+            norms += [trace_norm(cols), float(np.linalg.norm(cols))]
             del cols            # one n_x x window array at a time
         rec.tp_i1, rec.tp_i2, rec.extra["tp_prime_i1"], rec.extra["tp_prime_i2"] = norms
 

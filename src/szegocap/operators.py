@@ -185,8 +185,9 @@ def order_differences(spec: SymbolSpec, s: float, grid: Grid) -> tuple[np.ndarra
 
 
 def product_deviations(spec: SymbolSpec, s_values, grid: Grid):
-    """Fourier blocks of L_sigma L_tau - L_{sigma tau}, tau = e^{i 2 pi s sigma},
-    for each s in s_values in turn, from one sample of sigma.
+    """The Fourier blocks of L_sigma, and an iterator over those of
+    L_sigma L_tau - L_{sigma tau}, tau = e^{i 2 pi s sigma}, for each s in
+    s_values in turn, all from one sample of sigma.
 
     tau tends to 1 at large frequency, so L_tau is quantized as identity plus
     the quantization of its decaying part tau - 1.  The constant symbol then
@@ -196,11 +197,14 @@ def product_deviations(spec: SymbolSpec, s_values, grid: Grid):
     b = _block_size(spec, grid)
     sigma = sample_symbol(spec, grid, rows=slice(b))
     a_sigma = _fourier_blocks(sigma, grid)
-    for s in s_values:
+
+    def deviation(s: float) -> np.ndarray:
         tau = _phase(s, sigma)
         # Fourier blocks multiply and subtract like their operators
-        yield a_sigma @ (_fourier_blocks(tau - 1.0, grid) + np.eye(b)) \
+        return a_sigma @ (_fourier_blocks(tau - 1.0, grid) + np.eye(b)) \
             - _fourier_blocks(sigma * tau, grid)
+
+    return a_sigma, map(deviation, s_values)
 
 
 def hermitize(a: DiscreteOperator) -> DiscreteOperator:

@@ -283,7 +283,7 @@ def test_hermitian_defect_is_exact_operator_norm(name, kind, alpha, exp_operator
         defect, dense = exp_operator(spec, S_PHASE, grid).hermitian_defect, \
             dense_exp(spec, S_PHASE, grid)
     else:
-        (dev,) = product_deviations(spec, [S_PHASE], grid)
+        (dev,) = product_deviations(spec, [S_PHASE], grid)[1]
         defect, dense = skew_norm(dev), dense_product_deviation(spec, S_PHASE, grid)
         if spec.time_invariant:
             # L_sigma and L_tau commute: the exact defect is 0, and both sides are roundoff
@@ -309,7 +309,7 @@ def test_product_deviations_match_dense_oracle(name, grid_id):
     grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
     spec = sc.make_symbol(name)
     s_values = (S_PHASE, -1.0)
-    blocks = list(product_deviations(spec, s_values, grid))
+    blocks = list(product_deviations(spec, s_values, grid)[1])
     assert len(blocks) == len(s_values)
     for s, dev in zip(s_values, blocks):
         assert dev.shape[0] == _expected_blocks(name, grid_id, grid)
@@ -319,11 +319,26 @@ def test_product_deviations_match_dense_oracle(name, grid_id):
             assert skew_norm(dev) == pytest.approx(_defect(dense), rel=1e-10, abs=1e-14)
 
 
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_product_deviations_sample_sigma_once(name):
+    # the L_sigma blocks that product_deviations composes with are quantize's,
+    # bit for bit, so check-product reads its hermitian defect from them
+    grid = sc.make_grid(8)
+    spec = sc.make_symbol(name)
+    a_sigma, _ = product_deviations(spec, [S_PHASE], grid)
+    op = sc.quantize(spec, grid)
+    assert np.array_equal(a_sigma, op.blocks)
+    assert skew_norm(a_sigma) == op.hermitian_defect
+    if spec.smoothness_order >= 3:       # check-product refuses the rough families
+        rec = sc.run_symbol_calculus_check(spec, [S_PHASE], [8]).records[0]
+        assert rec.hermitian_defect == op.hermitian_defect
+
+
 @pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
 @pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_product_deviations_vanish_at_s_zero(name, grid_id):
     grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
-    (dev,) = product_deviations(sc.make_symbol(name), [0.0], grid)
+    (dev,) = product_deviations(sc.make_symbol(name), [0.0], grid)[1]
     assert dev.shape[0] == _expected_blocks(name, grid_id, grid)
     assert not dev.any()                         # L_sigma I - L_sigma, exactly
 

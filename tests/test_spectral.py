@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import szegocap as sc
 from szegocap.errors import NonHermitianError
-from szegocap.operators import DiscreteOperator, assemble
-from szegocap.spectral import _is_reflection_symmetric, eigh_matrix, window_trace
+from szegocap.operators import DiscreteOperator, assemble, order_differences, product_deviations
+from szegocap.spectral import (_is_reflection_symmetric, _row_step, _splits, eigh_matrix,
+                               trace_norm, window_trace)
 
 
 def _tiny_grid(n):
@@ -69,6 +72,92 @@ def test_reflection_split_matches_eigvalsh(n, complex_part):
     assert n == 1 or not _is_reflection_symmetric(h)
     _assert_matches_eigvalsh(w)
     _assert_matches_eigvalsh(h)
+
+
+def _assert_trace_norm_matches_svd(x):
+    expect = np.linalg.svd(x, compute_uv=False).sum()
+    assert abs(trace_norm(x) - expect) <= 1e-13 * expect
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (64, 48), (48, 64)])
+@pytest.mark.parametrize("complex_part", [False, True])
+def test_reflection_split_trace_norm_matches_svd(shape, complex_part):
+    # X + J X J is symmetric under the row and column reflections and is
+    # split into two (n/2) x (p/2) SVDs; X itself takes one full SVD
+    rng = np.random.default_rng(shape)
+    x = rng.standard_normal(shape)
+    if complex_part:
+        x = x + 1j * rng.standard_normal(shape)
+    w = x + x[::-1, ::-1]
+    assert _splits(w)
+    assert not _splits(x)
+    _assert_trace_norm_matches_svd(w)
+    assert trace_norm(x) == float(np.linalg.svd(x, compute_uv=False).sum())
+
+
+@pytest.mark.parametrize("shape", [(7, 6), (6, 7), (7, 7)])
+def test_odd_shapes_take_one_svd(shape):
+    rng = np.random.default_rng(shape)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w = x + x[::-1, ::-1]
+    assert _is_reflection_symmetric(w)
+    assert not _splits(w)
+    assert trace_norm(w) == float(np.linalg.svd(w, compute_uv=False).sum())
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_norm_out_of_float_range_takes_one_svd(scale):
+    # ||X||_F^2 overflows or underflows, so the symmetry test proves nothing:
+    # this X is not symmetric and must not be split
+    x = np.array([[1.0, 2.0], [3.0, 5.0]]) * scale
+    assert not _splits(x)
+    assert trace_norm(x) == float(np.linalg.svd(x, compute_uv=False).sum())
+
+
+def test_trace_norm_of_zero_is_exact():
+    assert trace_norm(np.zeros((4, 6), dtype=complex)) == 0.0
+    assert trace_norm(np.zeros((0, 6))) == 0.0
+
+
+@pytest.mark.parametrize("name", ["band_constant", "cosine_gauss", "square_smooth",
+                                  "two_tone"])
+def test_diagnostic_matrices_split_but_square_smooth(name):
+    # the n_x x window columns whose trace norms check-product (L_sigma L_tau -
+    # L_{sigma tau}) and check-tracenorm (T, T') take; band_constant's are zero
+    # or roundoff, since its operators commute
+    grid = sc.make_grid(8)
+    spec = sc.make_symbol(name)
+    blocks = list(product_deviations(spec, [0.5, -1.0], grid)[1])
+    blocks += order_differences(spec, 0.5, grid)
+    for b in blocks:
+        x = assemble(b, cols=grid.window)
+        assert x.shape == (grid.n_x, grid.window.stop - grid.window.start)
+        if not x.any():
+            assert trace_norm(x) == 0.0
+            continue
+        assert _splits(x) == (name != "square_smooth")
+        _assert_trace_norm_matches_svd(x)
+
+
+def test_trace_norm_split_allocates_half_the_input():
+    # the defect and the halves are built in row chunks: the traced peak is
+    # the two halves (half the input), two chunk buffers of 2^18 entries,
+    # numpy's buffers for the two reversed operands of each add, and 64 KiB
+    # for the singular values and small objects.  Whole-array temporaries
+    # (X - JXJ, or A and BJ beside the halves) need the input's size again.
+    # LAPACK's work arrays are not traced.
+    grid = sc.make_grid(64)
+    x = assemble(order_differences(sc.make_symbol("cosine_gauss"), 0.5, grid)[0],
+                 cols=grid.window)
+    assert np.iscomplexobj(x) and _splits(x)
+    limit = x.nbytes // 2 + 2 * (_row_step(1) + np.getbufsize()) * x.itemsize + 2 ** 16
+    tracemalloc.start()
+    try:
+        trace_norm(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit, f"traced peak {peak / 1e6:.2f} MB > {limit / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("grid_kw", [{}, {"h_x": 1.0 / 15.0, "omega_max": 7.0}],
