@@ -19,6 +19,7 @@ Families:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,6 +109,13 @@ def _cg_time(x):
     return 0.5 * (1.0 + np.cos(2.0 * np.pi * _bx(x)))
 
 
+def _cg_validate(p):
+    _require_positive(p, "w")
+    if 2.0 * p["w"] * p["w"] < sys.float_info.min:
+        raise DomainError(f"parameter 'w' = {p['w']} is too small: 2 w^2 underflows")
+
+
+@np.errstate(over="ignore")     # exp(-inf) = 0 where omega^2 / (2 w^2) overflows
 def _cg_sigma(x, omega, p):
     return _cg_time(x) * np.exp(-_bx(omega) ** 2 / (2.0 * p["w"] ** 2))
 
@@ -166,6 +174,7 @@ def _tt_time(x):
     return 0.6 + 0.4 * np.cos(2.0 * np.pi * _bx(x))
 
 
+@np.errstate(over="ignore")     # the band is 0 where (omega / gamma)^2 overflows
 def _tt_sigma(x, omega, p):
     u = _bx(omega) / p["gamma"]
     return p["c"] * _tt_time(x) / (1.0 + u ** 2) ** 2
@@ -191,7 +200,7 @@ _REGISTRY: dict[str, _Family] = {
     ),
     "cosine_gauss": _Family(
         defaults={"w": 1.0},
-        validate=lambda p: _require_positive(p, "w"),
+        validate=_cg_validate,
         sigma=_cg_sigma, period_x=1.0, smoothness_order=99,
         time_invariant=False, psi=_cg_psi,
     ),
@@ -255,7 +264,10 @@ def _checked(spec: SymbolSpec) -> tuple[_Family, dict[str, float]]:
 def eval_symbol(spec: SymbolSpec, x, omega):
     """Evaluate sigma(x, omega); inputs broadcast, output is float or ndarray."""
     fam, params = _checked(spec)
-    out = fam.sigma(x, omega, params)
+    try:
+        out = fam.sigma(x, omega, params)
+    except OverflowError:           # Python-float ** of a parameter
+        raise DomainError(f"{spec.family_name} symbol overflows at {params}") from None
     if np.ndim(x) == 0 and np.ndim(omega) == 0:
         return float(np.asarray(out).reshape(()))
     return out

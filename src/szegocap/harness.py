@@ -22,7 +22,8 @@ from .families import (SymbolSpec, default_envelope, envelope_integral,
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, DEFAULT_QUAD_DENSITY, Grid, make_grid
 from .operators import (assemble, hermitize, order_differences, product_deviations, quantize,
                         skew_norm)
-from .spectral import eigh_matrix, trace_norm, window_trace
+from .spectral import (eigh_matrix, reflection_symmetric, schatten_norms, window_eigvalsh,
+                       window_trace)
 from .transforms import envelope_check, kernel_from_values
 from .waterfill import (build_f_eps, rate_log, sup_abs_second_derivative,
                         waterfill_discrete, waterfill_symbol)
@@ -170,8 +171,7 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
         rec.hermitian_defect = op.hermitian_defect
         herm = hermitize(op)
 
-        w = grid.window
-        lam_in = eigh_matrix(assemble(herm.blocks, w, w), want_basis=False)[0]
+        lam_in = window_eigvalsh(herm.blocks, grid.window)
         sol = waterfill_discrete(lam_in, S, rec.alpha)
         rec.capacity_discrete = sol.capacity_rate
         rec.capacity_symbol = sol_sym.capacity_rate
@@ -231,7 +231,8 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
         w = grid.window
-        rec.hermitian_defect = quantize(spec, grid).hermitian_defect
+        op = quantize(spec, grid)
+        rec.hermitian_defect = op.hermitian_defect
         # The spectral interval below feeds a finite-difference sup of f''
         # that moves by 1e-8 relative when lambda_max moves by a few ulps,
         # so this check keeps its dense quadrature and full eigh.
@@ -239,7 +240,7 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
         herm = 0.5 * (matrix + matrix.conj().T)
         del matrix
 
-        lam_in = eigh_matrix(herm[w, w], want_basis=False)[0]
+        lam_in = window_eigvalsh(hermitize(op).blocks, w)
         lam_full, basis = eigh_matrix(herm, want_basis=True)
         wts = (np.abs(basis[w]) ** 2).sum(axis=0)
 
@@ -289,9 +290,11 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
         # (1/m) sum_k ||row r of A_k||^2 for every u
         row_sq = (np.abs(op.blocks) ** 2).sum(axis=(0, 2)) / m
         hs_full_sq = float(grid.window_counts(b) @ row_sq)
-        cross = np.hstack([assemble(op.blocks, w, slice(w.start)),
-                           assemble(op.blocks, w, slice(w.stop, None))])
-        hs_cross_sq = float(np.sum(np.abs(cross) ** 2))
+        # a symmetric operator's J maps the right padding's columns onto the left's
+        left = float(np.sum(np.abs(assemble(op.blocks, w, slice(w.start))) ** 2))
+        right = left if w.start + w.stop == grid.n_x and reflection_symmetric(op.blocks) \
+            else float(np.sum(np.abs(assemble(op.blocks, w, slice(w.stop, None))) ** 2))
+        hs_cross_sq = left + right
         if not all(map(math.isfinite, (hs_full_sq, hs_cross_sq, rec.alpha * psi_l1))):
             raise DomainError(f"a Hilbert-Schmidt value overflows at alpha = {rec.alpha}")
         rec.hs_cross_norm = hs_cross_sq
@@ -331,7 +334,7 @@ def run_symbol_calculus_check(spec: SymbolSpec, s_values, alphas,
         a_sigma, deviations = product_deviations(spec, s_values, grid)
         rec.hermitian_defect = skew_norm(a_sigma)
         for s, blocks in zip(s_values, deviations):
-            rec.q_alpha[s] = trace_norm(assemble(blocks, cols=grid.window))
+            rec.q_alpha[s] = schatten_norms(blocks, grid.window)[0]
 
     report, _ = _sweep("check-product", alphas, grid_kw, measure, fits={
         f"q_s{s:g}": lambda r, s=s: r.q_alpha[s] for s in s_values})
@@ -356,9 +359,7 @@ def run_trace_norm_scaling(spec: SymbolSpec, s: float, alphas,
             return
         norms = []
         for blocks in order_differences(spec, s, grid):
-            cols = assemble(blocks, cols=grid.window)
-            norms += [trace_norm(cols), float(np.linalg.norm(cols))]
-            del cols            # one n_x x window array at a time
+            norms += schatten_norms(blocks, grid.window)
         rec.tp_i1, rec.tp_i2, rec.extra["tp_prime_i1"], rec.extra["tp_prime_i2"] = norms
 
     report, _ = _sweep("check-tracenorm", alphas, grid_kw, measure, fits={

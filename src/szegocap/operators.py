@@ -52,12 +52,10 @@ def assemble(blocks: np.ndarray, rows: slice = slice(None),
              cols: slice = slice(None)) -> np.ndarray:
     """Dense entries A[rows, cols] of the operator with these Fourier blocks.
 
-    rows and cols are contiguous ranges (step 1).  The first block column
-    C_d = (1/m) sum_k A_k e^{2 pi i d k / m} is an inverse FFT over k, real
-    when real_cast finds its imaginary part negligible, and
-    A[u b + r, v b + s] = C_{(u - v) mod m}[r, s].  The whole blocks that
-    cover the ranges form a block-Toeplitz matrix, copied at once from C laid
-    out by block offset, and the result is a slice of that copy.
+    rows and cols are contiguous ranges (step 1).  With the first block
+    column C (first_column), A[u b + r, v b + s] = C_{(u - v) mod m}[r, s].
+    The whole blocks that cover the ranges form a block-Toeplitz matrix,
+    copied at once from C laid out by block offset; the result is a slice.
     """
     m, b, _ = blocks.shape
     r, c = range(m * b)[rows], range(m * b)[cols]
@@ -65,18 +63,22 @@ def assemble(blocks: np.ndarray, rows: slice = slice(None),
         raise ValueError(f"assemble takes contiguous ranges, got {rows} and {cols}")
     u0, v0 = r.start // b, c.start // b
     nu, nv = -(-(r.start + len(r)) // b) - u0, -(-(c.start + len(c)) // b) - v0
-    # a length-1 transform is the identity; skip copying the dense block
-    first_col = real_cast(blocks if m == 1 else np.fft.ifft(blocks, axis=0))
     # diag[j] = C_{d0 + j}, so cover block (u, v) = C_{u0 + u - v0 - v} is
     # diag[u + nv - 1 - v]: a strided view, as in scipy.linalg.toeplitz
     d0 = u0 - v0 - nv + 1
-    diag = first_col[np.arange(d0, d0 + nu + nv - 1) % m]
-    del first_col       # only diag is held while the cover is copied
+    diag = first_column(blocks)[np.arange(d0, d0 + nu + nv - 1) % m]
     step, row_step, col_step = diag.strides
     cover = as_strided(diag[max(nv - 1, 0):], shape=(nu, b, nv, b),
                        strides=(step, row_step, -step, col_step), writeable=False)
     r0, c0 = r.start - u0 * b, c.start - v0 * b
     return np.ascontiguousarray(cover).reshape(nu * b, nv * b)[r0:r0 + len(r), c0:c0 + len(c)]
+
+
+def first_column(blocks: np.ndarray) -> np.ndarray:
+    """C_d = (1/m) sum_k A_k e^{2 pi i d k / m}, shape (m, b, b): an inverse FFT
+    over k, real when real_cast finds its imaginary part negligible."""
+    # a length-1 transform is the identity; skip copying the dense block
+    return real_cast(blocks if blocks.shape[0] == 1 else np.fft.ifft(blocks, axis=0))
 
 
 def real_cast(matrix: np.ndarray) -> np.ndarray:

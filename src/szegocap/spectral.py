@@ -1,5 +1,5 @@
-"""Hermitian eigenvalues and trace norms of dense matrices, and full-space
-window traces from the Fourier blocks of block-circulant operators."""
+"""Hermitian eigenvalues of dense matrices; window spectra, Schatten norms
+and window traces of block-circulant operators from their Fourier blocks."""
 
 from __future__ import annotations
 
@@ -8,111 +8,78 @@ import math
 import numpy as np
 
 from .errors import NonHermitianError
-from .operators import DiscreteOperator, real_cast
+from .operators import DiscreteOperator, assemble, first_column, real_cast
 
 HERMITIAN_DEFECT_TOL = 1e-8
 _REFLECTION_TOL = 1e-13
 
 
 def eigh_matrix(matrix: np.ndarray, want_basis: bool = True):
-    """Descending eigendecomposition of a Hermitian matrix.
-
-    Without the basis, a matrix W that passes _splits is split (Cantoni and
-    Butler, Linear Algebra Appl. 13, 1976): the values are those of
-    S = (W + JWJ)/2, the union of the spectra of its two half-size blocks
-    (see _reflection_halves).  By Weyl's inequality each moves from W's by at
-    most ||W - S||_2 <= ||W - JWJ||_F / 2.  Any other matrix goes to one full
-    eigvalsh.
-    """
+    """Descending eigenpairs of a Hermitian matrix; the basis is None without want_basis."""
     matrix = real_cast(matrix)
     if want_basis:
         vals, vecs = np.linalg.eigh(matrix)
         return vals[::-1].copy(), vecs[:, ::-1].copy()
-    if _splits(matrix):
-        vals = np.concatenate([np.linalg.eigvalsh(h) for h in _reflection_halves(matrix)])
-        return np.sort(vals)[::-1].copy(), None
     return np.linalg.eigvalsh(matrix)[::-1].copy(), None
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Schatten-1 norm ||X||_1, the sum of the singular values.
-
-    An exactly zero matrix skips the SVD.  A matrix that passes _splits is
-    split as in eigh_matrix: S = (X + JXJ)/2 is orthogonally equivalent to
-    diag(A + BJ, A - BJ), so its singular values are those of the two halves.
-    By the triangle inequality, ||X||_1 moves by at most
-    ||X - S||_1 <= sqrt(p) ||X - JXJ||_F / 2 for p columns, at most
-    1.6e-12 ||X||_F at p = 1024.  Any other matrix takes one full SVD.
+def reflection_symmetric(blocks: np.ndarray) -> bool:
+    """Whether the operator commutes with the reflection J: i -> n_x - 1 - i,
+    that is, whether its first block column has C_{-d} = J_b C_d J_b for
+    every d: ||C - J C_{-.} J||_F <= 1e-13 ||C||_F, on C / max|C| so that no
+    norm overflows or underflows.  False for m = 1, whose C is the dense matrix.
     """
-    if not matrix.any():
-        return 0.0
-    parts = _reflection_halves(matrix) if _splits(matrix) else (matrix,)
-    return float(sum(np.linalg.svd(h, compute_uv=False).sum() for h in parts))
+    m = blocks.shape[0]
+    if m == 1:
+        return False
+    c = first_column(blocks)
+    c = c / (np.abs(c).max() or 1.0)
+    return bool(np.linalg.norm(c - c[-np.arange(m) % m, ::-1, ::-1])
+                <= _REFLECTION_TOL * np.linalg.norm(c))
 
 
-def _splits(x: np.ndarray) -> bool:
-    """The rule by which eigh_matrix and trace_norm take two half-size
-    problems: x has an even shape n x p and is reflection-symmetric."""
-    return all(d % 2 == 0 for d in x.shape) and _is_reflection_symmetric(x)
+def _reflection_halves(blocks: np.ndarray, rows: slice, cols: slice):
+    """(A + BJ, A - BJ) for the section X = A[rows, cols], or None.
 
-
-def _row_step(n: int) -> int:
-    """Rows of n entries per chunk of about 2^18: the chunked passes below
-    reuse one buffer of this size instead of a whole-array temporary."""
-    return max(1, 2 ** 18 // max(n, 1))
-
-
-def _is_reflection_symmetric(w: np.ndarray) -> bool:
-    """||W - JWJ||_F <= 1e-13 ||W||_F for W of shape n x p, where J reverses
-    rows and columns: (JWJ)[i, j] = W[n - 1 - i, p - 1 - j].  False when
-    ||W||_F^2 underflows to 0 or overflows, since the test then proves nothing."""
-    n, p = w.shape
-    step = _row_step(p)
-    buf = np.empty((min(step, n), p), dtype=w.dtype)
-    defect = norm = 0.0
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        rows = buf[:hi - lo]
-        np.copyto(rows, w[lo:hi])
-        norm += _sum_abs_sq(rows)
-        rows -= w[n - hi:n - lo][::-1, ::-1]
-        defect += _sum_abs_sq(rows)
-    return 0.0 < norm < math.inf and defect <= _REFLECTION_TOL ** 2 * norm
-
-
-def _sum_abs_sq(rows: np.ndarray) -> float:
-    """sum |rows|^2 of a contiguous array, by einsum rather than BLAS: the
-    same sum at every BLAS thread count, and without the threaded vdot's
-    start-up cost (about 1 s on the first 8192 x 8192 pass, 2 cores)."""
-    flat = rows.reshape(-1).view(rows.real.dtype)
-    return float(np.einsum("i,i->", flat, flat))
-
-
-def _reflection_halves(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two k x l blocks of S = (W + JWJ)/2, for W of shape n x p = 2k x 2l.
-
-    S = J S J.  With A = S[:k, :l] and B = S[:k, l:], the orthogonal
-    Q_n = [[I, I], [J, -J]] / sqrt(2) (and Q_p alike) give
-    Q_n^T S Q_p = diag(A + BJ, A - BJ).  For square W these are the
-    reflection-even ([x; Jx]) and odd ([x; -Jx]) eigenproblems.
+    When the operator is reflection_symmetric and both ranges have even
+    length and are centred (start + stop = n_x), J X J = X, and
+    Q^T X Q' = diag(A + BJ, A - BJ) for A = X[:k, :l], B = X[:k, l:] and the
+    orthogonal Q = [[I, I], [J, -J]] / sqrt(2) (Cantoni and Butler, Linear
+    Algebra Appl. 13, 1976).  Only the top k rows are assembled; A + BJ is
+    written over A.  The values move by at most ||X_bottom - J X_top J||_2
+    <= 1e-13 ||L||_F / sqrt(2), for L the whole operator.
     """
-    n, p = w.shape
-    k, l = n // 2, p // 2
-    even = np.empty((k, l), dtype=w.dtype)
-    odd = np.empty_like(even)
-    step = _row_step(l)
-    a = np.empty((min(step, k), l), dtype=w.dtype)
-    bj = np.empty_like(a)
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        ra, rb = a[:hi - lo], bj[:hi - lo]
-        np.add(w[lo:hi, :l], w[n - hi:n - lo, l:][::-1, ::-1], out=ra)     # 2 A
-        np.add(w[lo:hi, l:][:, ::-1], w[n - hi:n - lo, :l][::-1], out=rb)  # 2 BJ
-        np.add(ra, rb, out=even[lo:hi])
-        np.subtract(ra, rb, out=odd[lo:hi])
-    even *= 0.5
-    odd *= 0.5
-    return even, odd
+    n = blocks.shape[0] * blocks.shape[1]
+    r, c = range(n)[rows], range(n)[cols]
+    if len(r) % 2 or len(c) % 2 or r.start + r.stop != n or c.start + c.stop != n \
+            or not reflection_symmetric(blocks):
+        return None
+    # assemble may return a read-only view, which np.require copies
+    top = np.require(assemble(blocks, slice(r.start, r.start + len(r) // 2), cols),
+                     requirements="W")
+    a, b = np.hsplit(top, 2)
+    odd = a - b[:, ::-1]
+    a += b[:, ::-1]
+    return a, odd
+
+
+def window_eigvalsh(blocks: np.ndarray, window: slice) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian A[window, window], from its
+    reflection halves or one full eigvalsh."""
+    parts = _reflection_halves(blocks, window, window) or (assemble(blocks, window, window),)
+    vals = np.concatenate([eigh_matrix(h, want_basis=False)[0] for h in parts])
+    return np.sort(vals)[::-1].copy()
+
+
+def schatten_norms(blocks: np.ndarray, cols: slice) -> tuple[float, float]:
+    """(||X||_1, ||X||_2) of X = A[:, cols] from the singular values of its
+    reflection halves or of X; none are taken for an exactly zero operator.
+    ||X||_2 is their scaled sum math.hypot, so it is finite when the norm is."""
+    if not blocks.any():
+        return 0.0, 0.0
+    parts = _reflection_halves(blocks, slice(None), cols) or (assemble(blocks, cols=cols),)
+    vals = [np.linalg.svd(h, compute_uv=False) for h in parts]
+    return float(sum(v.sum() for v in vals)), math.hypot(*np.concatenate(vals))
 
 
 def _require_hermitian(a: DiscreteOperator) -> None:

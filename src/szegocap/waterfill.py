@@ -12,6 +12,7 @@ r(B sigma) resp. B p(B sigma) over one period cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,6 +82,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+@np.errstate(over="ignore", invalid="ignore")    # an overflow ends in the DomainError below
 def _solve_level(values: np.ndarray, weights: np.ndarray, S: float) -> WaterfillSolution:
     """Shared solver: values (positive, any order) with quadrature weights.
 
@@ -92,20 +94,22 @@ def _solve_level(values: np.ndarray, weights: np.ndarray, S: float) -> Waterfill
     candidates with inv > Bm (if none, B = Bm), then splits the rest at their
     median p: if power(p) < S every inv <= p is active, else every inv >= p is
     inactive.  Each round halves the candidates, so a solve is O(n).
+    DomainError when B, the rate or the power overflows.
     """
-    with np.errstate(over="ignore"):       # 1/v = inf never activates
-        inv = 1.0 / values
+    inv = 1.0 / values                     # 1/v = inf never activates
     w = weights
     top = int(np.argmin(inv))
     lo = float(inv[top])                   # B >= 1/v_max
     if S == 0.0:
-        return WaterfillSolution(B=lo, capacity_rate=0.0,
-                                 power_achieved=0.0, active_count=0)
+        return _finite(WaterfillSolution(B=lo, capacity_rate=0.0,
+                                         power_achieved=0.0, active_count=0))
     hi = lo + S / float(w[top])            # B <= hi, where the top entry alone takes S
     W = WI = 0.0                           # sums of w and w inv over the known active
     known_inv, known_w = [], []
     while True:
-        B = max(lo, (S + WI + _dot(w, inv)) / (W + float(w.sum())))
+        total = W + float(w.sum())
+        # nothing is left only when power(lo) >= S rounds with ties at p = lo
+        B = max(lo, (S + WI + _dot(w, inv)) / total) if total else lo
         keep = inv <= min(hi, B)
         if keep.all():
             break
@@ -127,10 +131,17 @@ def _solve_level(values: np.ndarray, weights: np.ndarray, S: float) -> Waterfill
     inv = np.concatenate(known_inv + [inv])
     w = np.concatenate(known_w + [w])
     act = inv < B                          # strictly B v > 1
-    return WaterfillSolution(B=float(B),
-                             capacity_rate=_dot(w[act], np.log(B / inv[act])),
-                             power_achieved=float(B * w.sum() - _dot(w, inv)),
-                             active_count=int(np.count_nonzero(act)))
+    return _finite(WaterfillSolution(B=float(B),
+                                     capacity_rate=_dot(w[act], np.log(B / inv[act])),
+                                     power_achieved=float(B * w.sum() - _dot(w, inv)),
+                                     active_count=int(np.count_nonzero(act))))
+
+
+def _finite(sol: WaterfillSolution) -> WaterfillSolution:
+    if not all(map(math.isfinite, (sol.B, sol.capacity_rate, sol.power_achieved))):
+        raise DomainError(f"water-filling overflows: B = {sol.B}, capacity rate = "
+                          f"{sol.capacity_rate}, power = {sol.power_achieved}")
+    return sol
 
 
 def waterfill_discrete(spectrum, S: float, alpha: float) -> WaterfillSolution:

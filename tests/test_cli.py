@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegocap import cli
 from szegocap.cli import ConfigFieldError, main, validate_config
+from szegocap.errors import ConfigurationError
+from szegocap.families import _REGISTRY
 
 
 def run_cli(args, capsys):
@@ -495,3 +501,91 @@ def test_out_of_memory_exits_5(monkeypatch, capsys):
                               "--quad-density", "100000"], capsys)
     assert code == 5
     assert err.strip() == "numerical failure: out of memory: Unable to allocate 1.16 TiB for an array"
+
+
+def test_tracenorm_of_a_huge_symbol_is_finite(tmp_path, capsys):
+    # ||T'||_I2 was np.linalg.norm of the columns, whose sum of squares
+    # overflowed to inf beside a finite ||T'||_I1
+    out_path = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["check-tracenorm", "--family", "two_tone", "--param", "c=1e160",
+                                  "--alphas", "8,16", "--output", str(out_path)], capsys)
+    assert code == 0, err
+    for rec in json.loads(out_path.read_text())["records"]:
+        i1, i2 = rec["extra"]["tp_prime_i1"], rec["extra"]["tp_prime_i2"]
+        assert math.isfinite(i2) and 0.0 < i2 <= i1
+
+
+def test_waterfill_tied_top_eigenvalues_with_tiny_budget(capsys):
+    # the level solver dropped the three ties and then divided by zero
+    code, out, err = run_cli([
+        "waterfill", "--eigs", "7.145043730921083,7.145043730921083,7.145043730921083,"
+        "4.846123922479543,2.641557650530245,4.117802297705274",
+        "--power-S", "1.3849194867718743e-20", "--alpha", "1000"], capsys)
+    assert code == 0, err
+    assert out.startswith(f"B={1 / 7.145043730921083:.12g} ") and "active_count=0" in out
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["capacity", "--family", "cosine_gauss", "--param", "w=1e200"], 5),
+    (["capacity", "--family", "cosine_gauss", "--param", "w=1e-200"], 2),
+    (["waterfill", "--eigs", "400,1.7976931348623157e308,5.960464477539063e-08",
+      "--power-S", "1.7976931348623157e308", "--alpha", "6.540604722851699e16"], 5),
+])
+def test_extreme_inputs_end_in_typed_errors(capsys, argv, code):
+    # an OverflowError traceback, a NaN symbol with an invalid-value warning,
+    # and B = inf printed with exit 0
+    assert run_cli(argv, capsys)[0] == code
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _fuzz_cli(argv):
+    """Run the CLI: it must exit 0, 2 or 5, and on 0 print finite numbers.  A
+    RuntimeWarning is an error under the test configuration."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 5), argv
+    if code == 0:
+        values = [float(tok.partition("=")[2]) for tok in out.getvalue().split()]
+        assert all(map(math.isfinite, values)), (argv, out.getvalue())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(finite, min_size=1, max_size=6), finite, finite)
+def test_fuzz_waterfill(eigs, S, alpha):
+    # flags take the NAME=VALUE form, so argparse reads "-1e-5" as a value
+    _fuzz_cli(["waterfill", "--eigs=" + ",".join(map(repr, eigs)), f"--power-S={S!r}",
+               f"--alpha={alpha!r}"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data(), st.sampled_from(sorted(_REGISTRY)), finite)
+def test_fuzz_capacity(data, family, S):
+    params = data.draw(st.dictionaries(st.sampled_from(sorted(_REGISTRY[family].defaults)),
+                                       finite))
+    _fuzz_cli(["capacity", "--family", family, f"--power-S={S!r}", "--quad-density", "16"]
+              + [f"--param={k}={v!r}" for k, v in params.items()])
+
+
+_NAMES = sorted(cli._TOP_LEVEL | cli._GRID_KEYS | set(cli.COMMANDS) | set(_REGISTRY)
+                | {"family", "params", "mode", "eps", "delta", "path", "format", "fixed",
+                   "alpha_power", "json", "csv", "w", "c", "W", "gamma", "beta", "steep"})
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(_NAMES)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_NAMES) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=16)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.dictionaries(st.sampled_from(_NAMES), _json, max_size=8))
+def test_fuzz_validate_config(doc):
+    try:
+        validate_config(doc)
+    except ConfigurationError:
+        pass

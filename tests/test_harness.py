@@ -204,9 +204,11 @@ def test_hs_boundary_check_memory():
 
 
 def test_hs_full_sq_matches_dense_rows():
-    # Parseval over the block index against the assembled window rows
+    # Parseval over the block index against the assembled window rows; the
+    # cross term doubles the left padding's for all but square_smooth
     from szegocap.operators import assemble
-    for spec, grid_kw in ((COSINE, {}), (COSINE, {"padding": 2.25}), (BAND, {})):
+    for spec, grid_kw in ((COSINE, {}), (COSINE, {"padding": 2.25}), (BAND, {}),
+                          (sc.make_symbol("square_smooth"), {})):
         rec = run_hs_boundary_check(spec, [4], grid_kw).records[0]
         grid = sc.make_grid(4, **grid_kw)
         rows = assemble(sc.quantize(spec, grid).blocks, grid.window)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 import szegocap as sc
 from szegocap.errors import NonHermitianError
 from szegocap.operators import DiscreteOperator, assemble, order_differences, product_deviations
-from szegocap.spectral import (_is_reflection_symmetric, _row_step, _splits, eigh_matrix,
-                               trace_norm, window_trace)
+from szegocap.spectral import (_reflection_halves, eigh_matrix, reflection_symmetric,
+                               schatten_norms, window_eigvalsh, window_trace)
 
 
 def _tiny_grid(n):
@@ -36,7 +37,7 @@ def test_prolate_eigenvalue_count():
     spec = sc.make_symbol("band_constant", c=1.0, W=0.25)
     grid = sc.make_grid(16)
     herm = sc.hermitize(sc.quantize(spec, grid))
-    vals, _ = eigh_matrix(assemble(herm.blocks, grid.window, grid.window), want_basis=False)
+    vals = window_eigvalsh(herm.blocks, grid.window)
     count = int(np.sum(vals > 0.5))
     assert abs(count - 8) <= 2
 
@@ -51,72 +52,133 @@ def test_eigen_residual_contract(n, complex_part):
     assert np.all(np.diff(vals) <= 1e-12)
 
 
-def _assert_matches_eigvalsh(matrix):
-    vals, _ = eigh_matrix(matrix, want_basis=False)
-    expect = np.linalg.eigvalsh(matrix)[::-1]
+def _assert_matches_eigvalsh(blocks, window):
+    vals = window_eigvalsh(blocks, window)
+    expect = np.linalg.eigvalsh(assemble(blocks, window, window))[::-1]
     assert np.abs(vals - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def _random_blocks(m, b, complex_part, seed, hermitian=False, symmetric=True):
+    """Fourier blocks of a random first block column C; with `symmetric`, C
+    is made to satisfy C_{-d} = J C_d J, and with `hermitian`, C_{-d} = C_d*.
+    The two projections commute."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((m, b, b))
+    if complex_part:
+        c = c + 1j * rng.standard_normal((m, b, b))
+    flip = -np.arange(m) % m
+    if hermitian:
+        c = c + c[flip].conj().swapaxes(1, 2)
+    if symmetric:
+        c = c + c[flip, ::-1, ::-1]
+    return np.fft.fft(c, axis=0)
+
+
+def _centred(n_x, length):
+    """The range of this length centred on an n_x-point grid, or as near to
+    centred as the parities allow."""
+    start = (n_x - length) // 2
+    return slice(start, start + length)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 65])
 @pytest.mark.parametrize("complex_part", [False, True])
 def test_reflection_split_matches_eigvalsh(n, complex_part):
-    # W = H + JHJ commutes with the reflection J: i -> n - 1 - i and is split
-    # when n is even; H itself is not
-    rng = np.random.default_rng(n)
-    h = rng.standard_normal((n, n))
-    if complex_part:
-        h = h + 1j * rng.standard_normal((n, n))
-    h = h + h.conj().T
-    w = h + h[::-1, ::-1]
-    assert _is_reflection_symmetric(w)
-    assert n == 1 or not _is_reflection_symmetric(h)
-    _assert_matches_eigvalsh(w)
-    _assert_matches_eigvalsh(h)
+    # blocks whose first column is symmetrized commute with the reflection
+    # J: i -> n_x - 1 - i, and a centred n x n window of them splits when n is
+    # even; random blocks never split
+    b = 2 if n % 2 == 0 else 3
+    pad = next(p for p in range(3, 6) if (n + 2 * p) % b == 0)
+    m = (n + 2 * pad) // b
+    w = _centred(m * b, n)
+    assert w.start + w.stop == m * b
+    sym = _random_blocks(m, b, complex_part, n, hermitian=True)
+    rand = _random_blocks(m, b, complex_part, n, hermitian=True, symmetric=False)
+    assert reflection_symmetric(sym) and not reflection_symmetric(rand)
+    assert (_reflection_halves(sym, w, w) is not None) == (n % 2 == 0)
+    assert _reflection_halves(rand, w, w) is None
+    _assert_matches_eigvalsh(sym, w)
+    _assert_matches_eigvalsh(rand, w)
 
 
-def _assert_trace_norm_matches_svd(x):
-    expect = np.linalg.svd(x, compute_uv=False).sum()
-    assert abs(trace_norm(x) - expect) <= 1e-13 * expect
+def _assert_halves_match_svd(blocks, rows, cols):
+    halves = _reflection_halves(blocks, rows, cols)
+    vals = np.sort(np.concatenate([np.linalg.svd(h, compute_uv=False) for h in halves]))
+    expect = np.sort(np.linalg.svd(assemble(blocks, rows, cols), compute_uv=False))
+    assert np.abs(vals - expect).max() <= 1e-13 * expect.max()
+
+
+def _assert_schatten_matches_svd(blocks, cols):
+    x = assemble(blocks, cols=cols)
+    i1, i2 = schatten_norms(blocks, cols)
+    assert abs(i1 - np.linalg.svd(x, compute_uv=False).sum()) <= 1e-13 * i1
+    top = np.abs(x).max()       # numpy's norm over- or underflows at 1e200, 1e-170
+    assert abs(i2 - top * np.linalg.norm(x / top)) <= 1e-13 * i2
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (64, 48), (48, 64)])
 @pytest.mark.parametrize("complex_part", [False, True])
 def test_reflection_split_trace_norm_matches_svd(shape, complex_part):
-    # X + J X J is symmetric under the row and column reflections and is
-    # split into two (n/2) x (p/2) SVDs; X itself takes one full SVD
-    rng = np.random.default_rng(shape)
-    x = rng.standard_normal(shape)
-    if complex_part:
-        x = x + 1j * rng.standard_normal(shape)
-    w = x + x[::-1, ::-1]
-    assert _splits(w)
-    assert not _splits(x)
-    _assert_trace_norm_matches_svd(w)
-    assert trace_norm(x) == float(np.linalg.svd(x, compute_uv=False).sum())
+    # a centred rows x cols section of symmetrized blocks splits into two
+    # (rows/2) x (cols/2) SVDs; random blocks take one full SVD
+    sym = _random_blocks(34, 2, complex_part, shape)
+    rand = _random_blocks(34, 2, complex_part, shape, symmetric=False)
+    rows, cols = (_centred(68, k) for k in shape)
+    _assert_halves_match_svd(sym, rows, cols)
+    assert _reflection_halves(rand, rows, cols) is None
+    assert _reflection_halves(sym, slice(None), cols) is not None
+    _assert_schatten_matches_svd(sym, cols)
+    x = assemble(rand, cols=cols)
+    assert schatten_norms(rand, cols)[0] == float(np.linalg.svd(x, compute_uv=False).sum())
 
 
 @pytest.mark.parametrize("shape", [(7, 6), (6, 7), (7, 7)])
 def test_odd_shapes_take_one_svd(shape):
-    rng = np.random.default_rng(shape)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    w = x + x[::-1, ::-1]
-    assert _is_reflection_symmetric(w)
-    assert not _splits(w)
-    assert trace_norm(w) == float(np.linalg.svd(w, compute_uv=False).sum())
+    # an odd length cannot be centred on an even grid, and an odd grid's
+    # rows cannot be halved
+    sym = _random_blocks(34, 2, True, shape)
+    rows, cols = (_centred(68, k) for k in shape)
+    assert _reflection_halves(sym, rows, cols) is None
+    odd_grid = _random_blocks(23, 3, True, shape)
+    cols = _centred(69, shape[1])
+    assert reflection_symmetric(odd_grid)
+    assert _reflection_halves(odd_grid, slice(None), cols) is None
+    s = np.linalg.svd(assemble(odd_grid, cols=cols), compute_uv=False)
+    assert schatten_norms(odd_grid, cols) == (float(s.sum()), math.hypot(*s))
+
+
+def test_off_centre_ranges_and_one_block_do_not_split():
+    sym = _random_blocks(34, 2, False, 0)
+    assert _reflection_halves(sym, slice(10, 58), slice(10, 58)) is not None
+    assert _reflection_halves(sym, slice(10, 58), slice(12, 60)) is None
+    assert _reflection_halves(sym, slice(12, 60), slice(10, 58)) is None
+    # with m = 1 the block is the dense matrix, which is not tested
+    dense = assemble(sym)[None]
+    assert not reflection_symmetric(dense)
+    assert _reflection_halves(dense, slice(10, 58), slice(10, 58)) is None
+    _assert_schatten_matches_svd(dense, slice(10, 58))
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-170])
 def test_norm_out_of_float_range_takes_one_svd(scale):
-    # ||X||_F^2 overflows or underflows, so the symmetry test proves nothing:
-    # this X is not symmetric and must not be split
-    x = np.array([[1.0, 2.0], [3.0, 5.0]]) * scale
-    assert not _splits(x)
-    assert trace_norm(x) == float(np.linalg.svd(x, compute_uv=False).sum())
+    # ||C||_F^2 overflows or underflows: random blocks must still not split
+    rand = _random_blocks(4, 2, False, 1, symmetric=False) * scale
+    assert not reflection_symmetric(rand)
+    x = assemble(rand, cols=slice(2, 6))
+    assert schatten_norms(rand, slice(2, 6))[0] == float(np.linalg.svd(x, compute_uv=False).sum())
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_norm_out_of_float_range_still_splits(scale):
+    sym = _random_blocks(4, 2, True, 1) * scale
+    assert reflection_symmetric(sym)
+    _assert_halves_match_svd(sym, slice(None), slice(2, 6))
+    _assert_schatten_matches_svd(sym, slice(2, 6))
 
 
 def test_trace_norm_of_zero_is_exact():
-    assert trace_norm(np.zeros((4, 6), dtype=complex)) == 0.0
-    assert trace_norm(np.zeros((0, 6))) == 0.0
+    assert schatten_norms(np.zeros((4, 2, 2), dtype=complex), slice(2, 6)) == (0.0, 0.0)
+    assert schatten_norms(_random_blocks(4, 2, False, 2), slice(4, 4)) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("name", ["band_constant", "cosine_gauss", "square_smooth",
@@ -130,30 +192,29 @@ def test_diagnostic_matrices_split_but_square_smooth(name):
     blocks = list(product_deviations(spec, [0.5, -1.0], grid)[1])
     blocks += order_differences(spec, 0.5, grid)
     for b in blocks:
-        x = assemble(b, cols=grid.window)
-        assert x.shape == (grid.n_x, grid.window.stop - grid.window.start)
-        if not x.any():
-            assert trace_norm(x) == 0.0
+        if not b.any():
+            assert schatten_norms(b, grid.window) == (0.0, 0.0)
             continue
-        assert _splits(x) == (name != "square_smooth")
-        _assert_trace_norm_matches_svd(x)
+        split = _reflection_halves(b, slice(None), grid.window) is not None
+        assert split == (name != "square_smooth")
+        _assert_schatten_matches_svd(b, grid.window)
 
 
-def test_trace_norm_split_allocates_half_the_input():
-    # the defect and the halves are built in row chunks: the traced peak is
-    # the two halves (half the input), two chunk buffers of 2^18 entries,
-    # numpy's buffers for the two reversed operands of each add, and 64 KiB
-    # for the singular values and small objects.  Whole-array temporaries
-    # (X - JXJ, or A and BJ beside the halves) need the input's size again.
-    # LAPACK's work arrays are not traced.
+def test_schatten_norms_allocate_the_top_half_rows_and_one_half():
+    # only the top n_x/2 rows of the n_x x window columns X are assembled, and
+    # A + BJ is written over A: the traced peak is those rows, A - BJ (a
+    # quarter of X), a few arrays of the block column's size and 64 KiB for
+    # the singular values and small objects.  LAPACK's work arrays are not
+    # traced.
     grid = sc.make_grid(64)
-    x = assemble(order_differences(sc.make_symbol("cosine_gauss"), 0.5, grid)[0],
-                 cols=grid.window)
-    assert np.iscomplexobj(x) and _splits(x)
-    limit = x.nbytes // 2 + 2 * (_row_step(1) + np.getbufsize()) * x.itemsize + 2 ** 16
+    blocks = order_differences(sc.make_symbol("cosine_gauss"), 0.5, grid)[0]
+    x = assemble(blocks, cols=grid.window)
+    assert np.iscomplexobj(x) and _reflection_halves(blocks, slice(None), grid.window)
+    limit = 3 * x.nbytes // 4 + 4 * blocks.nbytes + 2 ** 16
+    del x
     tracemalloc.start()
     try:
-        trace_norm(x)
+        schatten_norms(blocks, grid.window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -165,13 +226,16 @@ def test_trace_norm_split_allocates_half_the_input():
 @pytest.mark.parametrize("name", ["band_constant", "cosine_gauss", "square_smooth",
                                   "two_tone"])
 def test_window_spectrum_matches_eigvalsh(name, grid_kw):
-    # every family but square_smooth is symmetric under x -> alpha - x
+    # every family but square_smooth is symmetric under x -> alpha - x, and
+    # an odd window takes one full eigvalsh
     grid = sc.make_grid(8 if not grid_kw else 3, **grid_kw)
     herm = sc.hermitize(sc.quantize(sc.make_symbol(name), grid))
-    win = assemble(herm.blocks, grid.window, grid.window)
-    assert win.shape[0] % 2 == (1 if grid_kw else 0)
-    assert _is_reflection_symmetric(win) == (name != "square_smooth")
-    _assert_matches_eigvalsh(win)
+    w = grid.window
+    assert (w.stop - w.start) % 2 == (1 if grid_kw else 0)
+    assert reflection_symmetric(herm.blocks) == (name != "square_smooth")
+    split = _reflection_halves(herm.blocks, w, w) is not None
+    assert split == (name != "square_smooth" and not grid_kw)
+    _assert_matches_eigvalsh(herm.blocks, w)
 
 
 def test_spectrum_sum_matches_trace():

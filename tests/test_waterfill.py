@@ -378,3 +378,16 @@ def test_symbol_waterfill_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 64e6, f"traced peak {peak / 1e6:.1f} MB > 64 MB"
+
+
+tied_spectra = st.builds(
+    lambda top, ties, rest: np.concatenate([np.full(ties, top), top * np.array(rest)]),
+    st.floats(0.1, 10.0), st.integers(2, 6), st.lists(st.floats(0.01, 0.99), max_size=6))
+
+
+@settings(derandomize=True, deadline=None)
+@given(tied_spectra, st.floats(-30.0, -16.0))
+def test_tied_top_eigenvalues_with_tiny_budget_match_oracle(lam, log_s):
+    # power(1/v_max) = 0 over the ties rounds to >= S, which dropped every
+    # candidate with no entry known active; the next round divided by zero
+    assert_matches_oracle(lam, 10.0 ** log_s)
