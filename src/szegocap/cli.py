@@ -237,6 +237,24 @@ def _parse_num_list(text: str) -> list[float]:
         raise ConfigFieldError("flags", f"cannot parse number list {text!r}") from None
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Join a numeric flag and a value such as "-1e-5,2" into "--flag=-1e-5,2":
+    argparse reads a token that starts with "-" as an option unless it has the
+    form -<digits> or -<digits>.<digits>."""
+    numeric = {f.flag for f in _FIELDS} | {"--eps", "--delta"}
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in numeric and tok.startswith("-"):
+            try:
+                if _parse_num_list(tok):
+                    out[-1] += "=" + tok
+                    continue
+            except ConfigFieldError:
+                pass
+        out.append(tok)
+    return out
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="szegocap",
@@ -310,7 +328,7 @@ def parse_config(argv: list[str]) -> RunConfig:
 
     OSError from an unreadable config file propagates to the caller.
     """
-    args = build_arg_parser().parse_args(argv)
+    args = build_arg_parser().parse_args(_glue_negative_values(argv))
     doc: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:

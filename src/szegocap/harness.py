@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import (SymbolSpec, default_envelope, envelope_integral,
@@ -82,24 +81,33 @@ def fit_loglog(xs, ys) -> FitResult | None:
 def fit_affine(xs, ys) -> FitResult:
     """Least-squares y = a + b x, reported with the residual RMS.
 
-    The fit runs on ys divided by the power of two at or below their largest
-    magnitude, which is exact, so values near the top of the float range do
-    not overflow in its sums of squares."""
+    The line and r take linregress's arithmetic and the t quantile the
+    stdtrit call behind t.ppf, so the fits keep their bits; stdtrit is imported
+    here, on the first fit, so the CLI starts without it.  The fit runs on ys
+    divided by the power of two at or below their largest magnitude, which is
+    exact, so values near the top of the float range do not overflow in its
+    sums of squares."""
     xs = np.asarray(xs, dtype=float)
     scale = math.ldexp(1.0, math.frexp(float(np.abs(ys).max()))[1] - 1)
     ys = np.asarray(ys, dtype=float) / scale
-    res = stats.linregress(xs, ys)
+    ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+    slope = ssxym / ssxm
+    intercept = ys.mean() - slope * xs.mean()
+    r = min(max(ssxym / math.sqrt(ssxm * ssym), -1.0), 1.0) \
+        if ssxm != 0.0 and ssym != 0.0 else math.nan
+    resid = ys - (intercept + slope * xs)
     n = xs.size
-    tcrit = float(stats.t.ppf(0.975, n - 2)) if n > 2 else math.inf
-    resid = ys - (res.intercept + res.slope * xs)
-    # the slope's standard error from the residuals: linregress takes it from
-    # 1 - r^2, which on an exact law reads 0 or at least about sqrt(eps)
-    stderr = math.sqrt(np.sum(resid ** 2) / (n - 2) / np.sum((xs - xs.mean()) ** 2)) \
-        if n > 2 else 0.0
-    return FitResult(slope=float(res.slope * scale), intercept=float(res.intercept * scale),
-                     stderr=stderr * scale, r2=float(res.rvalue ** 2),
-                     ci95_lo=float(res.slope - tcrit * stderr) * scale,
-                     ci95_hi=float(res.slope + tcrit * stderr) * scale,
+    tcrit, stderr = math.inf, 0.0
+    if n > 2:
+        from scipy.special import stdtrit
+        tcrit = float(stdtrit(n - 2, 0.975))
+        # the slope's standard error from the residuals: linregress takes it from
+        # 1 - r^2, which on an exact law reads 0 or at least about sqrt(eps)
+        stderr = math.sqrt(np.sum(resid ** 2) / (n - 2) / np.sum((xs - xs.mean()) ** 2))
+    return FitResult(slope=float(slope * scale), intercept=float(intercept * scale),
+                     stderr=stderr * scale, r2=float(r ** 2),
+                     ci95_lo=float(slope - tcrit * stderr) * scale,
+                     ci95_hi=float(slope + tcrit * stderr) * scale,
                      n=n, rms_resid=float(np.sqrt(np.mean(resid ** 2))) * scale)
 
 
@@ -218,7 +226,10 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
     reference envelope ||f''||_inf log(alpha)/alpha.
 
     The kernel envelope tail beyond the padding must not exceed padding_tol;
-    slowly decaying families need an explicitly loosened tolerance.
+    slowly decaying families need an explicitly loosened tolerance.  Where f''
+    vanishes on the spectral interval, f is affine there, the trace error is 0
+    up to rounding and the bound is 0: the ratio then reads 0, the log-log fit
+    skips it, and the summary's ratio_note names those alphas.
     """
     grid_kw = grid_kw or {}
     padding = grid_kw.get("padding", DEFAULT_PADDING)
@@ -256,14 +267,20 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
         rec.extra.update({
             "stability_abs": abs(stab_signed),
             "bound": bound,
-            "ratio": abs(stab_signed) / bound if bound > 0 else math.inf,
+            "ratio": abs(stab_signed) / bound if bound > 0 else 0.0,
             "f_second_sup": f2,
             "spectral_interval": [lo, hi],
         })
 
-    report, _ = _sweep("check-stability", alphas, grid_kw, measure,
-                       fits={"stability_ratio": lambda r: r.extra["ratio"]})
+    report, ok = _sweep("check-stability", alphas, grid_kw, measure,
+                        fits={"stability_ratio": lambda r: r.extra["ratio"]})
     report.summary["envelope_tail_beyond_padding"] = tail
+    zero = [r.alpha for r in ok if r.extra["bound"] == 0.0]
+    if zero:
+        report.summary["ratio_note"] = (
+            f"f'' vanishes on the spectral interval at alphas {zero}: f is affine there, "
+            "the trace error is 0 up to rounding and the bound is 0, so the ratio reads 0 "
+            "and is not fitted")
     return report
 
 

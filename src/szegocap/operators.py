@@ -64,7 +64,7 @@ def assemble(blocks: np.ndarray, rows: slice = slice(None),
     u0, v0 = r.start // b, c.start // b
     nu, nv = -(-(r.start + len(r)) // b) - u0, -(-(c.start + len(c)) // b) - v0
     # diag[j] = C_{d0 + j}, so cover block (u, v) = C_{u0 + u - v0 - v} is
-    # diag[u + nv - 1 - v]: a strided view, as in scipy.linalg.toeplitz
+    # diag[u + nv - 1 - v]: a strided view with a negative column stride
     d0 = u0 - v0 - nv + 1
     diag = first_column(blocks)[np.arange(d0, d0 + nu + nv - 1) % m]
     step, row_step, col_step = diag.strides

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -539,6 +542,80 @@ def test_extreme_inputs_end_in_typed_errors(capsys, argv, code):
     assert run_cli(argv, capsys)[0] == code
 
 
+def test_negative_exponent_values_read_as_values(tmp_path, capsys):
+    # argparse took "-1e-5,2" for an option and exited 2 with "expected one argument"
+    reports = []
+    for form in (["--eigs", "-1e-5,2", "--alpha", "2"], ["--eigs=-1e-5,2", "--alpha=2"]):
+        out_path = tmp_path / "r.json"
+        code, out, err = run_cli(["waterfill", *form, "--output", str(out_path)], capsys)
+        assert code == 0, err
+        reports.append((out, out_path.read_text()))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["waterfill", "--eigs", "1", "--power-S", "-1e-3"],
+     "config error at 'power_S': must be nonnegative, got -0.001"),
+    (["sweep", "--family", "cosine_gauss", "--alphas", "-8e0"],
+     "config error at 'alphas': entries must be positive, got [-8.0]"),
+    (["check-stability", "--family", "cosine_gauss", "--eps", "-1E-2"],
+     "config error at 'eps_schedule.eps': must be positive, got -0.01"),
+])
+def test_negative_exponent_values_reach_validation(capsys, flags, message):
+    code, out, err = run_cli(flags, capsys)
+    assert code == 2
+    assert err.strip() == message and out == ""
+
+
+def test_check_stability_with_a_vanishing_f_second_writes_finite_numbers(tmp_path, capsys):
+    # f_eps vanishes on cosine_gauss's spectrum inside [0, 1]: the records read
+    # ratio inf and the fits NaN
+    out_path = tmp_path / "r.json"
+    code, out, err = run_cli(["check-stability", "--family", "cosine_gauss",
+                              "--alphas", "8,16,32", "--output", str(out_path)], capsys)
+    assert code == 0, err
+    text = out_path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    report = json.loads(text)
+    assert [r["extra"]["ratio"] for r in report["records"]] == [0.0, 0.0, 0.0]
+    assert report["fits"] == {} and "alphas [8, 16, 32]" in report["summary"]["ratio_note"]
+
+
+def _imported_modules(args):
+    """Run `python -X importtime args` with this checkout's szegocap first on
+    the path; returns the exit code and the names of every module imported."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, names
+
+
+def _scipy(names):
+    return sorted(n for n in names if n == "scipy" or n.startswith("scipy."))
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import szegocap.cli"],
+    ["-m", "szegocap.cli", "capacity", "--family", "cosine_gauss"],
+    ["-m", "szegocap.cli", "waterfill", "--eigs", "3,2,1", "--power-S", "2"]])
+def test_cli_import_and_cheap_commands_load_no_scipy(args):
+    code, names = _imported_modules(args)
+    assert code == 0 and "szegocap.harness" in names
+    assert _scipy(names) == []
+
+
+def test_sweep_fits_without_scipy_stats(tmp_path):
+    out_path = tmp_path / "r.json"
+    code, names = _imported_modules(["-m", "szegocap.cli", "sweep", "--family", "cosine_gauss",
+                                     "--alphas", "2,3,4", "--output", str(out_path)])
+    assert code == 0
+    assert json.loads(out_path.read_text())["fits"]
+    assert "scipy.special" in names
+    assert [n for n in _scipy(names) if n.startswith("scipy.stats")] == []
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -557,9 +634,8 @@ def _fuzz_cli(argv):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.lists(finite, min_size=1, max_size=6), finite, finite)
 def test_fuzz_waterfill(eigs, S, alpha):
-    # flags take the NAME=VALUE form, so argparse reads "-1e-5" as a value
-    _fuzz_cli(["waterfill", "--eigs=" + ",".join(map(repr, eigs)), f"--power-S={S!r}",
-               f"--alpha={alpha!r}"])
+    _fuzz_cli(["waterfill", "--eigs", ",".join(map(repr, eigs)), "--power-S", repr(S),
+               "--alpha", repr(alpha)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -567,8 +643,8 @@ def test_fuzz_waterfill(eigs, S, alpha):
 def test_fuzz_capacity(data, family, S):
     params = data.draw(st.dictionaries(st.sampled_from(sorted(_REGISTRY[family].defaults)),
                                        finite))
-    _fuzz_cli(["capacity", "--family", family, f"--power-S={S!r}", "--quad-density", "16"]
-              + [f"--param={k}={v!r}" for k, v in params.items()])
+    _fuzz_cli(["capacity", "--family", family, "--power-S", repr(S), "--quad-density", "16"]
+              + [tok for k, v in params.items() for tok in ("--param", f"{k}={v!r}")])
 
 
 _NAMES = sorted(cli._TOP_LEVEL | cli._GRID_KEYS | set(cli.COMMANDS) | set(_REGISTRY)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 import szegocap as sc
 from szegocap.errors import ConfigurationError, DomainError
@@ -277,3 +280,62 @@ def test_fit_affine_is_exact_under_power_of_two_scaling():
     for name in ("slope", "intercept", "stderr", "ci95_lo", "ci95_hi", "rms_resid"):
         assert getattr(big, name) == getattr(fit, name) * 2.0 ** 1023
     assert big.r2 == fit.r2
+
+
+def _scipy_fit(xs, ys):
+    """fit_affine's fields as scipy's linregress and t.ppf give them, on the
+    same power-of-two scaling."""
+    xs = np.asarray(xs, dtype=float)
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(ys).max()))[1] - 1)
+    ys = np.asarray(ys, dtype=float) / scale
+    res = stats.linregress(xs, ys)
+    n = xs.size
+    tcrit = float(stats.t.ppf(0.975, n - 2)) if n > 2 else math.inf
+    resid = ys - (res.intercept + res.slope * xs)
+    stderr = math.sqrt(np.sum(resid ** 2) / (n - 2) / np.sum((xs - xs.mean()) ** 2)) \
+        if n > 2 else 0.0
+    return {"slope": float(res.slope * scale), "intercept": float(res.intercept * scale),
+            "stderr": stderr * scale, "r2": float(res.rvalue ** 2),
+            "ci95_lo": float(res.slope - tcrit * stderr) * scale,
+            "ci95_hi": float(res.slope + tcrit * stderr) * scale, "n": n,
+            "rms_resid": float(np.sqrt(np.mean(resid ** 2))) * scale}
+
+
+def _same_bits(fit, expected):
+    for name, want in expected.items():
+        got = getattr(fit, name)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (name, got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("kind", ["random", "constant", "near_max"])
+def test_fit_affine_matches_scipy_bit_for_bit(n, kind):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        xs = np.sort(rng.choice(500, n, replace=False)) * rng.uniform(0.01, 10.0)
+        if kind == "near_max":
+            xs = np.arange(1.0, n + 1.0)
+        ys = {"random": rng.normal(size=n),
+              "constant": np.full(n, rng.integers(-40, 40) / 8.0),
+              "near_max": rng.uniform(0.45, 0.5, n) * np.finfo(float).max}[kind]
+        fit = fit_affine(xs, ys)
+        _same_bits(fit, _scipy_fit(xs, ys))
+        assert math.isnan(fit.r2) == (kind == "constant")
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_fit_loglog_matches_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        xs = np.sort(rng.choice(np.arange(1, 500), n, replace=False)).astype(float)
+        ys = rng.uniform(0.1, 10.0) * xs ** rng.uniform(-2.0, 2.0) * rng.uniform(0.9, 1.1, n)
+        _same_bits(fit_loglog(xs, ys), _scipy_fit(np.log(xs), np.log(ys)))
+
+
+def test_stability_zero_bound_with_a_rounding_error_reads_zero():
+    # f'' = 0 on a constant f, while its trace error is 0 or a few ulps; the
+    # ratio was inf and its fits NaN
+    rep = run_stability_check(COSINE, lambda x: np.full(np.shape(x), 0.1), [2, 4, 8])
+    assert max(abs(rec.error_stability) for rec in rep.records) <= 1e-15
+    assert all(rec.extra["ratio"] == 0.0 for rec in rep.records)
+    assert rep.fits == {} and "alphas [2, 4, 8]" in rep.summary["ratio_note"]
