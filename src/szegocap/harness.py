@@ -19,8 +19,8 @@ from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import (SymbolSpec, default_envelope, envelope_integral,
                        sample_symbol)
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, DEFAULT_QUAD_DENSITY, Grid, make_grid
-from .operators import (assemble, hermitize, order_differences, product_deviations, quantize,
-                        skew_norm)
+from .operators import (assemble, hermitize, order_differences, period_samples,
+                        product_deviations, quantize, skew_norm)
 from .spectral import (eigh_matrix, reflection_symmetric, schatten_norms, window_eigvalsh,
                        window_trace)
 from .transforms import envelope_check, kernel_from_values
@@ -195,9 +195,9 @@ def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
         # tr_a of the quantized f(sigma): h_x times the omega-quadrature of
         # f(sigma(x_i, .)) summed over the window rows; sigma repeats every
         # b rows, so row r of one period counts once per window row = r mod b
-        b = herm.blocks.shape[1]
-        f_sigma = np.asarray(f(sample_symbol(spec, grid, rows=slice(b))), dtype=float)
-        tr_l_fsigma = float(grid.h_x * (grid.window_counts(b) @ f_sigma @ grid.omega_weights()))
+        f_sigma = np.asarray(f(period_samples(spec, grid)), dtype=float)
+        tr_l_fsigma = float(grid.h_x * (grid.window_counts(f_sigma.shape[0]) @ f_sigma
+                                        @ grid.omega_weights()))
 
         rec.error_total = (tr_f_plp - tr_l_fsigma) / rec.alpha
         rec.error_stability = (tr_f_plp - tr_f_l) / rec.alpha
@@ -241,6 +241,8 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
             f"padding_tol {padding_tol:.3e}; increase padding or loosen the tolerance")
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
+        if rec.alpha < 2:       # the bound log(alpha) / alpha is 0 at alpha = 1
+            raise DomainError(f"stability check needs alpha >= 2, got {rec.alpha}")
         w = grid.window
         op = quantize(spec, grid)
         rec.hermitian_defect = op.hermitian_defect
@@ -263,7 +265,7 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
         lo = min(0.0, float(lam_full[-1]))
         hi = max(0.0, float(lam_full[0]))
         f2 = sup_abs_second_derivative(f, lo, hi)
-        bound = f2 * math.log(rec.alpha) / rec.alpha if rec.alpha > 1 else math.inf
+        bound = f2 * math.log(rec.alpha) / rec.alpha
         rec.extra.update({
             "stability_abs": abs(stab_signed),
             "bound": bound,

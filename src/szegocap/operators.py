@@ -105,9 +105,10 @@ def skew_norm(blocks: np.ndarray) -> float:
 
 def _block_size(spec: SymbolSpec, grid: Grid) -> int:
     """Rows per block b of the quantized symbol: the shift that leaves the
-    Nystrom matrix unchanged, or n_x when there is none (m = 1)."""
-    q = grid.omega_points() * grid.span
-    if np.abs(q - np.round(q)).max() > _LATTICE_TOL:
+    Nystrom matrix unchanged, or n_x when there is none (m = 1).  m > 1 needs
+    the indices omega * span to be the consecutive integers -N..N."""
+    q = np.arange(grid.n_omega) - grid.n_omega // 2
+    if np.abs(grid.omega_points() * grid.span - q).max() > _LATTICE_TOL:
         return grid.n_x
     if spec.time_invariant:
         return 1
@@ -120,10 +121,12 @@ def _block_size(spec: SymbolSpec, grid: Grid) -> int:
     return b
 
 
-def _check_aliasing(grid: Grid) -> None:
+def period_samples(spec: SymbolSpec, grid: Grid) -> np.ndarray:
+    """sigma on one period, the first b = _block_size rows: shape (b, n_omega)."""
     if 2.0 * grid.h_x * grid.omega_max > 1.0 + 1e-12:
         raise AliasingError(
             f"grid too coarse: 2 * h_x * omega_max = {2 * grid.h_x * grid.omega_max:.6f} > 1")
+    return sample_symbol(spec, grid, rows=slice(_block_size(spec, grid)))
 
 
 def _fourier_blocks(values: np.ndarray, grid: Grid, col_values=1.0) -> np.ndarray:
@@ -132,35 +135,24 @@ def _fourier_blocks(values: np.ndarray, grid: Grid, col_values=1.0) -> np.ndarra
 
     values (V) and col_values (U, default 1) hold samples of the first b
     rows; the amplitude keeps its value when x and y shift by one period.
-    q = omega * span is the frequency index (an integer when m > 1; with m = 1
-    every frequency falls in the one class and the block is the dense
-    quadrature).
+    Frequency j has index q = j - N, so with the columns padded to whole rows
+    of m, class k is column (N - k) mod m; m = 1 gives the dense quadrature.
     """
     b = values.shape[0]
     m = grid.n_x // b
     omega = grid.omega_points()
-    cls = np.round(-omega * grid.span).astype(np.int64) % m
-    # row k of `index` lists the frequencies of class k; empty slots point at
-    # an appended zero column
-    counts = np.bincount(cls, minlength=m)
-    order = np.lexsort((cls,))
-    index = np.full((m, counts.max()), omega.size)
-    index[cls[order], np.arange(omega.size) - (np.cumsum(counts) - counts)[cls[order]]] = order
-
+    cls = (omega.size // 2 - np.arange(m)) % m
     # phases relative to row 0, so a b = 1 block is real by construction
     phase = np.exp(-2j * np.pi * np.outer(np.arange(b) * grid.h_x, omega))
-    zero = np.zeros((b, 1))
-    left = np.concatenate([(values * grid.omega_weights()) * phase, zero], axis=1)
-    right = np.concatenate([phase * np.conj(col_values), zero], axis=1)
-    blocks = left.T[index].swapaxes(1, 2) @ right.T[index].conj()
-    return (grid.h_x * m) * blocks
+    # (b, n_omega) -> (rows, m, b): the frequencies of class k in column k
+    left, right = (np.pad(a, ((0, 0), (0, -omega.size % m))).T.reshape(-1, m, b)[:, cls]
+                   for a in ((values * grid.omega_weights()) * phase, phase * np.conj(col_values)))
+    return (grid.h_x * m) * (left.transpose(1, 2, 0) @ right.swapaxes(0, 1).conj())
 
 
 def quantize(spec: SymbolSpec, grid: Grid) -> DiscreteOperator:
     """Nystrom operator of the quantized symbol: h_x * kernel."""
-    _check_aliasing(grid)
-    sigma = sample_symbol(spec, grid, rows=slice(_block_size(spec, grid)))
-    blocks = _fourier_blocks(sigma, grid)
+    blocks = _fourier_blocks(period_samples(spec, grid), grid)
     return DiscreteOperator(blocks=blocks, grid=grid, hermitian_defect=skew_norm(blocks))
 
 
@@ -179,8 +171,7 @@ def order_differences(spec: SymbolSpec, s: float, grid: Grid) -> tuple[np.ndarra
     Their kernels integrate e^{-i 2 pi omega (x - y)} against tau(y, omega) -
     tau(x, omega) and sigma(x, omega) tau(y, omega) - (sigma tau)(x, omega).
     """
-    _check_aliasing(grid)
-    sigma = sample_symbol(spec, grid, rows=slice(_block_size(spec, grid)))
+    sigma = period_samples(spec, grid)
     tau = _phase(s, sigma)
     return (_fourier_blocks(np.ones_like(sigma), grid, tau) - _fourier_blocks(tau, grid),
             _fourier_blocks(sigma, grid, tau) - _fourier_blocks(sigma * tau, grid))
@@ -195,15 +186,13 @@ def product_deviations(spec: SymbolSpec, s_values, grid: Grid):
     the quantization of its decaying part tau - 1.  The constant symbol then
     maps to identity blocks, and s = 0 gives exactly zero blocks.
     """
-    _check_aliasing(grid)
-    b = _block_size(spec, grid)
-    sigma = sample_symbol(spec, grid, rows=slice(b))
+    sigma = period_samples(spec, grid)
     a_sigma = _fourier_blocks(sigma, grid)
 
     def deviation(s: float) -> np.ndarray:
         tau = _phase(s, sigma)
         # Fourier blocks multiply and subtract like their operators
-        return a_sigma @ (_fourier_blocks(tau - 1.0, grid) + np.eye(b)) \
+        return a_sigma @ (_fourier_blocks(tau - 1.0, grid) + np.eye(sigma.shape[0])) \
             - _fourier_blocks(sigma * tau, grid)
 
     return a_sigma, map(deviation, s_values)

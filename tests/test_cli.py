@@ -581,6 +581,39 @@ def test_check_stability_with_a_vanishing_f_second_writes_finite_numbers(tmp_pat
     assert report["fits"] == {} and "alphas [8, 16, 32]" in report["summary"]["ratio_note"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+@pytest.mark.parametrize("family", sorted(_REGISTRY))
+@pytest.mark.parametrize("command", [["sweep"], ["check-stability", "--padding-tol", "1e-2"],
+                                     ["check-hs"], ["check-product"], ["check-tracenorm"]],
+                         ids=lambda command: command[0])
+def test_every_report_is_strict_json(tmp_path, capsys, command, family):
+    # alpha = 1 is the edge of every runner's domain: a record there holds
+    # numbers or an error, never NaN or Infinity
+    out_path = tmp_path / "r.json"
+    code, out, err = run_cli([*command, "--family", family, "--alphas", "1,2",
+                              "--output", str(out_path), "--format", "json"], capsys)
+    assert code in (0, 2, 5), err
+    if out_path.exists():
+        json.loads(out_path.read_text(), parse_constant=_reject_constant)
+
+
+def test_check_stability_refuses_alpha_1(tmp_path, capsys):
+    # the reference bound ||f''|| log(alpha) / alpha is 0 at alpha = 1, where
+    # the trace error is not
+    out_path = tmp_path / "r.json"
+    code, out, err = run_cli(["check-stability", "--family", "two_tone", "--param", "c=4",
+                              "--padding-tol", "1e-6", "--alphas", "1,2,4",
+                              "--output", str(out_path), "--format", "json"], capsys)
+    assert code == 0, err
+    first, *rest = json.loads(out_path.read_text())["records"]
+    assert first["alpha"] == 1 and "needs alpha >= 2" in first["extra"]["error"]
+    assert "bound" not in first["extra"]
+    assert [r["alpha"] for r in rest] == [2, 4] and all(r["extra"]["bound"] > 0 for r in rest)
+
+
 def _imported_modules(args):
     """Run `python -X importtime args` with this checkout's szegocap first on
     the path; returns the exit code and the names of every module imported."""

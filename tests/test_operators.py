@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +8,8 @@ import pytest
 import szegocap as sc
 from szegocap.errors import AliasingError, DomainError
 from szegocap.families import default_envelope, sample_symbol
-from szegocap.operators import (_conj_t, assemble, order_differences, product_deviations,
-                                skew_norm)
+from szegocap.operators import (_block_size, _conj_t, assemble, order_differences,
+                                product_deviations, skew_norm)
 from szegocap.spectral import eigh_matrix, window_trace
 from szegocap.transforms import _phase_matrix, kernel_from_values
 
@@ -301,6 +302,20 @@ def test_block_quantize_matches_dense_quadrature(name, grid_id):
     op = sc.quantize(spec, grid)
     assert op.blocks.shape[0] == _expected_blocks(name, grid_id, grid)
     assert np.abs(op.matrix - dense_quadrature(spec, grid)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_frequency_indices_with_step_2_give_the_dense_quadrature(name):
+    # h_omega = 2 / span (past make_grid's non-aliasing bound) puts omega * span
+    # on the even integers: whole, but not the consecutive -N..N whose reshape
+    # groups the frequencies into classes, so the quantizer takes one dense block
+    grid = sc.make_grid(2)
+    h_omega = 2.0 / grid.span
+    grid = dataclasses.replace(grid, h_omega=h_omega,
+                               n_omega=2 * round(grid.omega_max / h_omega) + 1)
+    spec = sc.make_symbol(name)
+    assert np.abs(sc.quantize(spec, grid).matrix - dense_quadrature(spec, grid)).max() <= 1e-12
+    assert _block_size(spec, grid) == grid.n_x
 
 
 @pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
