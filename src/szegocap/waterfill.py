@@ -12,6 +12,8 @@ r(B sigma) resp. B p(B sigma) over one period cell.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -77,64 +79,60 @@ class WaterfillSolution:
     active_count: int
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b) in numpy, not BLAS: the same bits for any BLAS thread count."""
-    return float(np.einsum("i,i->", a, b))
-
-
 @np.errstate(over="ignore", invalid="ignore")    # an overflow ends in the DomainError below
-def _solve_level(values: np.ndarray, weights: np.ndarray, S: float) -> WaterfillSolution:
-    """Shared solver: values (positive, any order) with quadrature weights.
+def _solve_level(inv: np.ndarray, weight: float, S: float,
+                 half: np.ndarray | None = None) -> WaterfillSolution:
+    """Shared solver over the reciprocals inv = 1/v of the positive values.
 
-    power(B) = sum_{B v >= 1} w (B - 1/v),  rate(B) = sum_{B v >= 1} w log(B v).
+    Every entry weighs `weight`, except the entries whose 1/v is also listed in
+    `half` (the trapezoid's end nodes), which weigh weight/2.  inv is a
+    contiguous 1-D array that the solver reorders in place.
+
+    power(B) = sum_{inv < B} w (B - inv),  rate(B) = sum_{inv < B} w log(B/inv).
     B solves power(B) = S in closed form on the active set, which a sort-free
-    breakpoint search over inv = 1/v finds (Michelot 1986; Kiwiel 2008).  The
-    linear model on the known-active entries and the candidates has a root
-    Bm >= B, and every other entry has inv >= Bm.  Each round drops the
-    candidates with inv > Bm (if none, B = Bm), then splits the rest at their
-    median p: if power(p) < S every inv <= p is active, else every inv >= p is
-    inactive.  Each round halves the candidates, so a solve is O(n).
-    DomainError when B, the rate or the power overflows.
+    breakpoint search finds (Michelot 1986; Kiwiel 2008).  inv[:a] is known
+    active and inv[b:] inactive; each round partitions the candidates
+    inv[a:b] in place at their median p: if power(p) < S, p and every entry
+    left of it are active, else p and every entry right of it are inactive.
+    Each round halves the candidates, so a solve is O(n).  Entries with
+    1/v = inf never activate.  DomainError when B, the rate or the power
+    overflows.
     """
-    inv = 1.0 / values                     # 1/v = inf never activates
-    w = weights
-    top = int(np.argmin(inv))
-    lo = float(inv[top])                   # B >= 1/v_max
+    lo = float(inv.min())                  # B >= 1/v_max
     if S == 0.0:
         return _finite(WaterfillSolution(B=lo, capacity_rate=0.0,
                                          power_achieved=0.0, active_count=0))
-    hi = lo + S / float(w[top])            # B <= hi, where the top entry alone takes S
-    W = WI = 0.0                           # sums of w and w inv over the known active
-    known_inv, known_w = [], []
-    while True:
-        total = W + float(w.sum())
-        # nothing is left only when power(lo) >= S rounds with ties at p = lo
-        B = max(lo, (S + WI + _dot(w, inv)) / total) if total else lo
-        keep = inv <= min(hi, B)
-        if keep.all():
-            break
-        inv, w = inv[keep], w[keep]
-        if inv.size == 0:
-            continue
-        p = np.partition(inv, inv.size // 2)[inv.size // 2]
-        low = inv <= p
-        inv_low, w_low = inv[low], w[low]
-        W_low, WI_low = W + float(w_low.sum()), WI + _dot(w_low, inv_low)
-        if W_low * p - WI_low < S:         # power(p) < S: every inv <= p is active
-            known_inv.append(inv_low)
-            known_w.append(w_low)
-            W, WI = W_low, WI_low
-            inv, w = inv[~low], w[~low]
-        else:                              # B <= p: every inv >= p is inactive
-            below = inv_low < p
-            inv, w = inv_low[below], w_low[below]
-    inv = np.concatenate(known_inv + [inv])
-    w = np.concatenate(known_w + [w])
-    act = inv < B                          # strictly B v > 1
-    return _finite(WaterfillSolution(B=float(B),
-                                     capacity_rate=_dot(w[act], np.log(B / inv[act])),
-                                     power_achieved=float(B * w.sum() - _dot(w, inv)),
-                                     active_count=int(np.count_nonzero(act))))
+    # the half-weight entries sorted, as lists that the pivot test bisects
+    half = np.empty(0) if half is None else np.sort(half)
+    ends = half.tolist()
+    ends_sum = [0.0, *itertools.accumulate(ends)]  # ends_sum[j] = sum(ends[:j])
+    a, b = 0, inv.size
+    known = 0.0                            # sum of inv[:a]
+    p_low = -math.inf                      # inv[:a] holds exactly the entries <= p_low
+    while a < b:
+        cand, m = inv[a:b], (b - a) // 2
+        cand.partition(m)
+        p = float(cand[m])
+        below = known + float(cand[:m].sum())
+        j = bisect.bisect_left(ends, p)    # end nodes with inv < p
+        power = weight * ((a + m) * p - below) - 0.5 * weight * (j * p - ends_sum[j])
+        if p <= p_low or power < S:        # B > p; p == p_low keeps ties together
+            a, known, p_low = a + m + 1, below + p, p
+        else:                              # B <= p
+            b = a + m
+    act, h = inv[:a], half[:bisect.bisect_right(ends, p_low)]
+    total = weight * (a - 0.5 * h.size)
+    # the prefix is empty only when power(lo) >= S rounds with ties at p = lo
+    B = max(lo, (S + weight * (known - 0.5 * float(h.sum()))) / total) if a else lo
+    log_gain = np.divide(B, act)           # log(B/inv), zero where B/inv <= 1, in place
+    np.log(np.maximum(log_gain, 1.0, out=log_gain), out=log_gain)
+    return _finite(WaterfillSolution(
+        B=float(B),
+        capacity_rate=weight * (float(log_gain.sum())
+                                - 0.5 * float(np.log(np.maximum(B / h, 1.0)).sum())),
+        power_achieved=weight * (B * a - float(act.sum()))
+        - 0.5 * weight * (B * h.size - float(h.sum())),
+        active_count=int(np.count_nonzero(act < B))))
 
 
 def _finite(sol: WaterfillSolution) -> WaterfillSolution:
@@ -161,11 +159,12 @@ def waterfill_discrete(spectrum, S: float, alpha: float) -> WaterfillSolution:
     values = np.asarray(spectrum, dtype=float)
     if not np.all(np.isfinite(values)):
         raise DomainError(f"eigenvalues must be finite, got {values[~np.isfinite(values)][:5]}")
-    pos = values[values > 0.0]
-    if pos.size == 0:
+    inv = values[values > 0.0]
+    if inv.size == 0:
         raise NoCapacityError("no positive eigenvalues to allocate power over")
-    weights = np.full(pos.size, 1.0 / alpha)
-    return _solve_level(pos, weights, float(S))
+    with np.errstate(over="ignore"):       # 1/v = inf never activates
+        np.divide(1.0, inv, out=inv)
+    return _solve_level(inv, 1.0 / alpha, float(S))
 
 
 def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DENSITY,
@@ -182,23 +181,29 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
         raise UnsupportedSymbolError(
             "continuous water-filling needs a time-invariant or 1-periodic symbol")
 
-    n = 2 * int(round(omega_max * density)) + 1
-    omega = np.linspace(-omega_max, omega_max, n)
-    w_om = np.full(n, 2.0 * omega_max / (n - 1))
-    w_om[[0, -1]] *= 0.5
+    if not omega_max * density > 0.5:     # round(0.5) = 0 would leave one node
+        raise DomainError(f"omega_max * density must exceed 0.5 for a trapezoid of 3 or "
+                          f"more nodes, got {omega_max} * {density}")
+    half_nodes = int(round(omega_max * density))
+    omega = np.linspace(-omega_max, omega_max, 2 * half_nodes + 1)
     if spec.time_invariant:
-        sigma = np.asarray(eval_symbol(spec, 0.0, omega), dtype=float)[None, :]
+        sigma = eval_symbol(spec, 0.0, omega)[None, :]
         w_x = 1.0
     else:
         x = np.arange(density) / density
-        sigma = np.asarray(eval_symbol(spec, x[:, None], omega[None, :]), dtype=float)
+        sigma = eval_symbol(spec, x[:, None], omega[None, :])
         w_x = 1.0 / x.size
-
+    # the families return fresh arrays, so 1/sigma can overwrite sigma
+    sigma = np.require(sigma, dtype=float, requirements="CW")
     pos = sigma > 0.0
-    if not np.any(pos):
+    if not pos.any():
         raise NoCapacityError("symbol is nonpositive everywhere on the quadrature grid")
-    weights = np.broadcast_to(w_x * w_om, sigma.shape)[pos]
-    return _solve_level(sigma[pos], weights, float(S))
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = np.divide(1.0, sigma, out=sigma)
+    np.copyto(inv, np.inf, where=~pos)     # 1/v = inf never activates
+    # the trapezoid's end columns weigh half as much
+    return _solve_level(inv.ravel(), w_x * (omega_max / half_nodes), float(S),
+                        inv[:, [0, -1]].ravel())
 
 
 def sup_abs_second_derivative(f, lo: float, hi: float) -> float:

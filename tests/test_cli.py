@@ -308,6 +308,16 @@ def test_overflowing_envelope_exits_2(capsys, command, family, param):
     assert "kernel envelope" in err and "overflows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["capacity"], ["sweep", "--alphas", "2"]])
+def test_one_node_trapezoid_exits_numerical(capsys, command):
+    # omega_max * density = 0.2 rounds to a trapezoid of one node, which has
+    # no step 2 omega_max / (n - 1)
+    code, out, err = run_cli(command + ["--family", "cosine_gauss", "--omega-max", "0.1",
+                                        "--quad-density", "2"], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert "omega_max * density must exceed 0.5" in err and "Traceback" not in err
+
+
 def test_check_hs_near_float_max_records_overflow_per_alpha(tmp_path, capsys):
     # |sigma|^2 = 1e306: alpha ||psi||_1 overflows at alpha = 64, and the fits
     # over the other alphas stay finite
