@@ -14,6 +14,12 @@ Families:
   square_smooth      smoothed square wave in x times a raised-cosine band in
                      omega; 1-periodic, C^1 in omega.
   two_tone           (0.6 + 0.4 cos 2 pi x) * squared-Lorentzian band; 1-periodic.
+
+Every registered family is even in omega: sigma(x, -omega) equals
+sigma(x, omega) bit for bit.  The symbol water-fill relies on it, evaluating
+the omega >= 0 half of the frequency axis and counting each omega > 0 node
+twice.  A family that is not even (a Doppler family, whose band is shifted in
+frequency) needs the whole axis, so adding one must add that choice too.
 """
 
 from __future__ import annotations

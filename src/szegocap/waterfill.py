@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -174,6 +174,9 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
 
     The tensor quadrature takes `density` uniform (periodic) nodes in x and a
     trapezoid of 2 round(omega_max density) + 1 nodes on [-omega_max, omega_max].
+    Every registered symbol is even in omega, so it is evaluated on the
+    omega >= 0 nodes only, each omega > 0 node standing for its mirror too:
+    the omega = 0 column and the end column then weigh half as much as the rest.
     """
     if S < 0:
         raise DomainError(f"power budget S must be nonnegative, got {S}")
@@ -185,7 +188,7 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
         raise DomainError(f"omega_max * density must exceed 0.5 for a trapezoid of 3 or "
                           f"more nodes, got {omega_max} * {density}")
     half_nodes = int(round(omega_max * density))
-    omega = np.linspace(-omega_max, omega_max, 2 * half_nodes + 1)
+    omega = np.linspace(-omega_max, omega_max, 2 * half_nodes + 1)[half_nodes:]
     if spec.time_invariant:
         sigma = eval_symbol(spec, 0.0, omega)[None, :]
         w_x = 1.0
@@ -201,9 +204,13 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.divide(1.0, sigma, out=sigma)
     np.copyto(inv, np.inf, where=~pos)     # 1/v = inf never activates
-    # the trapezoid's end columns weigh half as much
-    return _solve_level(inv.ravel(), w_x * (omega_max / half_nodes), float(S),
-                        inv[:, [0, -1]].ravel())
+    # the two half-weight columns, copied before the solve reorders inv
+    ends = inv[:, [0, -1]]
+    sol = _solve_level(inv.ravel(), 2.0 * w_x * (omega_max / half_nodes), float(S),
+                       ends.ravel())
+    # every active node but those at omega = 0 has an active mirror
+    return replace(
+        sol, active_count=2 * sol.active_count - int(np.count_nonzero(ends[:, 0] < sol.B)))
 
 
 def sup_abs_second_derivative(f, lo: float, hi: float) -> float:

@@ -6,7 +6,7 @@ import pytest
 
 import szegocap as sc
 from szegocap.errors import ConfigurationError, DomainError, UnsupportedSymbolError
-from szegocap.families import SymbolSpec, envelope_integral
+from szegocap.families import _REGISTRY, SymbolSpec, envelope_integral
 from szegocap.grid import DEFAULT_OMEGA_MAX
 from szegocap.harness import run_trace_norm_scaling
 
@@ -136,6 +136,30 @@ def test_default_envelope_tail_constant(name):
     z = np.linspace(0.0, 50.0, 2001)
     assert np.all(env.psi(z) >= 0)
     assert envelope_integral(env) > envelope_integral(env, lo=8.0) > 0
+
+
+# parameter sets beyond each family's defaults; a family missing here is
+# checked at its defaults
+EVEN_PARAMS = {
+    "band_constant": [{"c": 2.5, "W": 0.25}, {"W": 3.0}],
+    "cosine_gauss": [{"w": 0.3}, {"w": 1.7}],
+    "square_smooth": [{"c": 2.0, "W": 0.5, "beta": 0.2, "steep": 9.0},
+                      {"W": 1.0, "beta": 1.0}],
+    "two_tone": [{"c": 0.8, "gamma": 0.3}, {"gamma": 5.0}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_families_are_bitwise_even_in_omega(name):
+    # the symbol water-fill evaluates only omega >= 0 and counts each omega > 0
+    # node twice, so every registered family must be even bit for bit
+    rng = np.random.default_rng(7)
+    x = np.concatenate([np.arange(256) / 256, rng.uniform(-2.0, 2.0, 16)])[:, None]
+    for params in [{}, *EVEN_PARAMS.get(name, [])]:
+        spec = sc.make_symbol(name, **params)
+        omega = np.concatenate([np.linspace(-8.0, 8.0, 4097), np.linspace(-0.3, 0.3, 3),
+                                rng.uniform(-12.0, 12.0, 512), [params.get("W", 0.5)]])[None, :]
+        assert np.array_equal(sc.eval_symbol(spec, x, omega), sc.eval_symbol(spec, x, -omega)), params
 
 
 def test_metadata_flags():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import szegocap as sc
-from szegocap import cli
+from szegocap import cli, waterfill
 from szegocap.errors import DomainError, NoCapacityError, UnsupportedSymbolError
 from szegocap.families import SymbolSpec, _REGISTRY
 from szegocap.waterfill import WaterfillSolution, rate_log
@@ -346,26 +346,52 @@ def test_level_is_exact_where_bisection_is_not():
     assert abs(ref.power_achieved - S) > abs(sol.power_achieved - S)
 
 
-def trapezoid_oracle(spec, S, density, omega_max):
-    """bisect_level on the symbol's quadrature, with the trapezoid's weights
-    built node by node: the two end columns weigh half as much."""
+def full_axis_quadrature(spec, density, omega_max):
+    """The symbol on the whole trapezoid axis, with its weights built node by
+    node: the two end columns weigh half as much."""
     omega = np.linspace(-omega_max, omega_max, 2 * int(round(omega_max * density)) + 1)
     w_om = np.full(omega.size, 2.0 * omega_max / (omega.size - 1))
     w_om[[0, -1]] *= 0.5
     x = np.zeros(1) if spec.time_invariant else np.arange(density) / density
     sigma = sc.eval_symbol(spec, x[:, None], omega[None, :]) + np.zeros((x.size, 1))
-    weights = np.broadcast_to(w_om / x.size, sigma.shape)
+    return sigma, np.broadcast_to(w_om / x.size, sigma.shape)
+
+
+def trapezoid_oracle(spec, S, density, omega_max):
+    """bisect_level on the symbol's full-axis quadrature."""
+    sigma, weights = full_axis_quadrature(spec, density, omega_max)
     pos = sigma > 0.0
     return bisect_level(sigma[pos], weights[pos], S)
 
 
+def evaluated_omega(spec, density, omega_max):
+    """The frequency nodes on which waterfill_symbol evaluates the symbol."""
+    seen = []
+
+    def spy(spec, x, omega):
+        seen.append(np.ravel(omega))
+        return sc.eval_symbol(spec, x, omega)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(waterfill, "eval_symbol", spy)
+        sc.waterfill_symbol(spec, 1.0, density=density, omega_max=omega_max)
+    (omega,) = seen
+    return omega
+
+
 def assert_symbol_matches_oracle(spec, density, omega_max):
+    sigma = full_axis_quadrature(spec, density, omega_max)[0]
     for S in (1e-6, 0.25, 1.0, 4.0):
         sol = sc.waterfill_symbol(spec, S, density=density, omega_max=omega_max)
         ref = trapezoid_oracle(spec, S, density, omega_max)
         assert sol.B == pytest.approx(ref.B, rel=1e-11)
         assert sol.capacity_rate == pytest.approx(ref.capacity_rate, rel=1e-9)
         assert sol.power_achieved == pytest.approx(S, rel=1e-10)
+        assert sol.active_count == np.count_nonzero(sol.B * sigma > 1.0)
+    # the symbol is evaluated on the omega >= 0 nodes of the full axis
+    n = int(round(omega_max * density))
+    full = np.linspace(-omega_max, omega_max, 2 * n + 1)
+    assert np.array_equal(evaluated_omega(spec, density, omega_max), full[n:])
 
 
 def test_symbol_matches_bisection_oracle():
@@ -399,9 +425,18 @@ def test_symbol_with_nonpositive_nodes_matches_bisection_oracle(monkeypatch):
     assert_symbol_matches_oracle(spec, 64, 1.0)
 
 
-def test_capacity_curve_matches_seed0_reference(tmp_path, monkeypatch):
-    # the benchmark's 128 capacity commands, run in process and checked as
-    # the benchmark checks them: reports, then the values recorded at seed 0
+@pytest.mark.parametrize("family", sorted(_REGISTRY))
+@pytest.mark.parametrize("density, omega_max", [
+    (64, 8.0),      # the default omega_max: 1,025 trapezoid nodes, 513 folded
+    (4, 0.3),       # a three-node trapezoid: folded, omega = 0 and the end column
+], ids=["default_axis", "three_nodes"])
+def test_folded_symbol_matches_full_axis_oracle(family, density, omega_max):
+    assert_symbol_matches_oracle(sc.make_symbol(family), density, omega_max)
+
+
+def perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, imported without writing bytecode, and the
+    values that perfbench/reference_seed0.json records at seed 0."""
     perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
@@ -409,7 +444,14 @@ def test_capacity_curve_matches_seed0_reference(tmp_path, monkeypatch):
     wl = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, wl)   # its dataclasses look it up
     spec.loader.exec_module(wl)
-    reference = json.loads((perfbench / "reference_seed0.json").read_text())["capacity-curve"]
+    return wl, json.loads((perfbench / "reference_seed0.json").read_text())
+
+
+def test_capacity_curve_matches_seed0_reference(tmp_path, monkeypatch):
+    # the benchmark's 128 capacity commands, run in process and checked as
+    # the benchmark checks them: reports, then the values recorded at seed 0
+    wl, reference = perfbench_workloads(monkeypatch)
+    reference = reference["capacity-curve"]
     cmds = [c for c in wl.build("capacity-curve", 0, str(tmp_path))
             if c.label.startswith("capacity-")]
     assert len(cmds) == 2 * wl.CAPACITY_CALLS
@@ -423,6 +465,24 @@ def test_capacity_curve_matches_seed0_reference(tmp_path, monkeypatch):
     assert not errs, "\n".join(errs[:10])
 
 
+def test_operator_sweep_symbol_side_matches_seed0_reference(tmp_path, monkeypatch):
+    # the symbol water-fill of the benchmark's two seed-0 sweeps, with no
+    # dense work: the sweep reports its level and rate as summary keys
+    wl, reference = perfbench_workloads(monkeypatch)
+    cmds = [c for c in wl.build("operator-sweep", 0, str(tmp_path))
+            if c.label.startswith("sweep-")]
+    assert len(cmds) == 2
+    errs = []
+    for cmd in cmds:
+        cfg = cli.parse_config(list(cmd.argv))
+        sol = sc.waterfill_symbol(cli._symbol_spec(cfg), cfg.power_S,
+                                  cfg.grid["quad_density"], cfg.grid["omega_max"])
+        values = {"summary.capacity_symbol": sol.capacity_rate, "summary.B_continuous": sol.B}
+        ref = {k: v for k, v in reference["operator-sweep"][cmd.label].items() if k in values}
+        errs += [f"{cmd.label}: {e}" for e in wl.compare_reference(values, ref)]
+    assert not errs, "\n".join(errs)
+
+
 def test_level_where_budget_is_below_rounding_of_level():
     # B = 1/v + S/W rounds to 1/v, and the linear model may round below it;
     # the top entry must stay a candidate, or the active set would empty
@@ -434,8 +494,8 @@ def test_level_where_budget_is_below_rounding_of_level():
 
 
 def test_symbol_waterfill_memory():
-    # the default quadrature has 256 x 4,097 nodes, 8.4 MB per float array;
-    # the solve may hold about three of them
+    # the default quadrature has 256 x 4,097 nodes; folded in omega, 256 x 2,049
+    # nodes, 4.2 MB per float array, and the solve may hold about three of them
     spec = sc.make_symbol("cosine_gauss")
     tracemalloc.start()
     try:
@@ -443,7 +503,7 @@ def test_symbol_waterfill_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 26e6, f"traced peak {peak / 1e6:.1f} MB > 26 MB"
+    assert peak <= 13e6, f"traced peak {peak / 1e6:.1f} MB > 13 MB"
 
 
 tied_spectra = st.builds(
