@@ -6,8 +6,7 @@ compare the discrete capacity with the symbol-integral formula.
 """
 
 from .errors import (AliasingError, ConfigurationError, DomainError,
-                     NoCapacityError, NonHermitianError, SzegocapError,
-                     TruncationWarning, UnsupportedSymbolError)
+                     NoCapacityError, NonHermitianError, SzegocapError)
 from .families import (KernelEnvelope, SymbolSpec, default_envelope,
                        eval_symbol, make_symbol, sample_symbol)
 from .grid import Grid, make_grid

@@ -23,11 +23,3 @@ class NonHermitianError(DomainError):
 
 class NoCapacityError(SzegocapError):
     """Water-filling requested on a spectrum or symbol with no positive part."""
-
-
-class UnsupportedSymbolError(SzegocapError):
-    """Continuous water-filling needs a time-invariant or 1-periodic symbol."""
-
-
-class TruncationWarning(UserWarning):
-    """Symbol or kernel mass remains above tail tolerance at the domain edge."""

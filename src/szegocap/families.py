@@ -15,11 +15,15 @@ Families:
                      omega; 1-periodic, C^1 in omega.
   two_tone           (0.6 + 0.4 cos 2 pi x) * squared-Lorentzian band; 1-periodic.
 
-Every registered family is even in omega: sigma(x, -omega) equals
-sigma(x, omega) bit for bit.  The symbol water-fill relies on it, evaluating
-the omega >= 0 half of the frequency axis and counting each omega > 0 node
-twice.  A family that is not even (a Doppler family, whose band is shifted in
-frequency) needs the whole axis, so adding one must add that choice too.
+Every registered family keeps two contracts, which the tests check over the
+whole registry.  It is even in omega, bit for bit: the symbol water-fill
+evaluates the omega >= 0 half of the frequency axis, counting each omega > 0
+node twice, and default_envelope reads the band-edge ringing at +omega_max.
+It is time-invariant or has period 1 in x: the water-fill integrates over
+x in [0, 1), and the quantizer samples the round(1/h_x) rows of that cell.
+A family that breaks one (a Doppler family is not even) must add its choice.
+
+A SymbolSpec is validated once, when it is built; evaluation trusts it.
 """
 
 from __future__ import annotations
@@ -39,22 +43,37 @@ ENVELOPE_Z_MAX = 400.0      # reach of the envelope scans and integrals
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """A named parametric symbol with periodicity and smoothness metadata."""
+    """A registered family and its parameters, validated when built:
+    ConfigurationError for an unknown family, DomainError naming a missing,
+    unknown, non-finite or out-of-domain parameter."""
     family_name: str
     params: tuple[tuple[str, float], ...]
-    period_x: float | None
-    smoothness_order: int
-    time_invariant: bool = False
+
+    def __post_init__(self) -> None:
+        fam = _family(self.family_name)
+        params = self.param_map
+        missing = set(fam.defaults) - set(params)
+        if missing:
+            raise DomainError(f"spec for {self.family_name!r} missing parameters {sorted(missing)}")
+        for name, val in params.items():
+            if name not in fam.defaults:
+                raise DomainError(f"family {self.family_name!r} has no parameter {name!r}; "
+                                  f"known: {sorted(fam.defaults)}")
+            if not math.isfinite(val):
+                raise DomainError(f"parameter {name!r} must be finite, got {val}")
+        fam.validate(params)
 
     @property
     def param_map(self) -> dict[str, float]:
         return dict(self.params)
 
     @property
-    def unit_periodic(self) -> bool:
-        """Time-invariant or 1-periodic in x: one period cell is x in [0, 1)."""
-        return self.time_invariant or (
-            self.period_x is not None and abs(self.period_x - 1.0) <= 1e-12)
+    def time_invariant(self) -> bool:
+        return _family(self.family_name).time_invariant
+
+    @property
+    def smoothness_order(self) -> int:
+        return _family(self.family_name).smoothness_order
 
 
 @dataclass(frozen=True)
@@ -69,7 +88,6 @@ class _Family:
     defaults: dict[str, float]
     validate: Callable[[dict[str, float]], None]
     sigma: Callable[..., np.ndarray]
-    period_x: float | None
     smoothness_order: int
     time_invariant: bool
     psi: Callable[[dict[str, float]], Callable[[np.ndarray], np.ndarray]]
@@ -201,26 +219,22 @@ _REGISTRY: dict[str, _Family] = {
     "band_constant": _Family(
         defaults={"c": 1.0, "W": 0.5},
         validate=lambda p: _require_positive(p, "c", "W"),
-        sigma=_band_sigma, period_x=None, smoothness_order=0,
-        time_invariant=True, psi=_band_psi,
+        sigma=_band_sigma, smoothness_order=0, time_invariant=True, psi=_band_psi,
     ),
     "cosine_gauss": _Family(
         defaults={"w": 1.0},
         validate=_cg_validate,
-        sigma=_cg_sigma, period_x=1.0, smoothness_order=99,
-        time_invariant=False, psi=_cg_psi,
+        sigma=_cg_sigma, smoothness_order=99, time_invariant=False, psi=_cg_psi,
     ),
     "square_smooth": _Family(
         defaults={"c": 1.0, "W": 1.0, "beta": 0.5, "steep": 4.0},
         validate=_sq_validate,
-        sigma=_sq_sigma, period_x=1.0, smoothness_order=1,
-        time_invariant=False, psi=_sq_psi,
+        sigma=_sq_sigma, smoothness_order=1, time_invariant=False, psi=_sq_psi,
     ),
     "two_tone": _Family(
         defaults={"c": 1.0, "gamma": 1.0},
         validate=lambda p: _require_positive(p, "c", "gamma"),
-        sigma=_tt_sigma, period_x=1.0, smoothness_order=99,
-        time_invariant=False, psi=_tt_psi,
+        sigma=_tt_sigma, smoothness_order=99, time_invariant=False, psi=_tt_psi,
     ),
 }
 
@@ -234,44 +248,16 @@ def _family(name: str) -> _Family:
 
 
 def make_symbol(family_name: str, **params: float) -> SymbolSpec:
-    """Construct a validated SymbolSpec for a registered family."""
-    fam = _family(family_name)
-    merged = dict(fam.defaults)
-    for key, val in params.items():
-        if key not in fam.defaults:
-            raise DomainError(f"family {family_name!r} has no parameter {key!r}; "
-                              f"known: {sorted(fam.defaults)}")
-        merged[key] = float(val)
-    spec = SymbolSpec(
-        family_name=family_name,
-        params=tuple(sorted(merged.items())),
-        period_x=fam.period_x,
-        smoothness_order=fam.smoothness_order,
-        time_invariant=fam.time_invariant,
-    )
-    _checked(spec)
-    return spec
-
-
-def _checked(spec: SymbolSpec) -> tuple[_Family, dict[str, float]]:
-    """The spec's family and parameters, after validating the parameters."""
-    fam = _family(spec.family_name)
-    params = spec.param_map
-    missing = set(fam.defaults) - set(params)
-    if missing:
-        raise DomainError(f"spec for {spec.family_name!r} missing parameters {sorted(missing)}")
-    for name, val in params.items():
-        if not math.isfinite(val):
-            raise DomainError(f"parameter {name!r} must be finite, got {val}")
-    fam.validate(params)
-    return fam, params
+    """The SymbolSpec of a registered family, params overriding its defaults."""
+    merged = {**_family(family_name).defaults, **{k: float(v) for k, v in params.items()}}
+    return SymbolSpec(family_name, tuple(sorted(merged.items())))
 
 
 def eval_symbol(spec: SymbolSpec, x, omega):
     """Evaluate sigma(x, omega); inputs broadcast, output is float or ndarray."""
-    fam, params = _checked(spec)
+    params = spec.param_map
     try:
-        out = fam.sigma(x, omega, params)
+        out = _family(spec.family_name).sigma(x, omega, params)
     except OverflowError:           # Python-float ** of a parameter
         raise DomainError(f"{spec.family_name} symbol overflows at {params}") from None
     if np.ndim(x) == 0 and np.ndim(omega) == 0:
@@ -294,7 +280,7 @@ def default_envelope(spec: SymbolSpec, omega_max: float) -> KernelEnvelope:
     with band edge omega_max.
 
     The analytic magnitude bound is widened by the frequency-truncation
-    ringing floor |sigma(., +-omega_max)| / (pi max(|z|, 1)) and a fixed
+    ringing floor |sigma(., omega_max)| / (pi max(|z|, 1)) and a fixed
     float-roundoff floor, so symbols with slowly decaying frequency tails
     (or super-polynomially small true kernels) still satisfy the pointwise
     bound on discretely assembled kernels.  tail_constant is max over a
@@ -302,7 +288,7 @@ def default_envelope(spec: SymbolSpec, omega_max: float) -> KernelEnvelope:
     z_max = ENVELOPE_Z_MAX the tail continues psi(z_max) as (z_max / z)^2,
     the slowest family decay.
     """
-    fam, params = _checked(spec)
+    fam, params = _family(spec.family_name), spec.param_map
     overflow = ConfigurationError(f"{spec.family_name} kernel envelope overflows at {params}")
     try:
         psi_true = fam.psi(params)
@@ -310,8 +296,8 @@ def default_envelope(spec: SymbolSpec, omega_max: float) -> KernelEnvelope:
     except OverflowError:           # Python-float ** in the family's psi
         raise overflow from None
     xs = np.arange(64) / 64.0
-    edge = max(float(np.abs(fam.sigma(xs, np.full_like(xs, omega_max), params)).max()),
-               float(np.abs(fam.sigma(xs, np.full_like(xs, -omega_max), params)).max()))
+    # sigma is even in omega, so +omega_max gives the ringing at both band edges
+    edge = float(np.abs(fam.sigma(xs, np.full_like(xs, omega_max), params)).max())
 
     def psi(z):
         z = _bx(z)

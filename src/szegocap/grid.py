@@ -4,8 +4,8 @@ The time axis covers [x_min, x_max) with n_x cells of width h_x; sample points
 sit at cell midpoints so that interval-restricted sums are midpoint quadratures
 (second order, no boundary term).  The frequency axis is the closed symmetric
 interval [-omega_max, omega_max] with trapezoidal weights.  The pairing
-h_omega <= 1/(x_max - x_min) keeps the discrete transform non-aliasing: the
-kernel periodization images sit at least one full span away.
+h_omega = 1/(x_max - x_min) keeps the discrete transform non-aliasing: the
+kernel periodization images sit one full span away.
 """
 
 from __future__ import annotations
@@ -65,17 +65,17 @@ class Grid:
 def make_grid(alpha: float,
               h_x: float = DEFAULT_H_X,
               omega_max: float = DEFAULT_OMEGA_MAX,
-              padding: float = DEFAULT_PADDING,
-              h_omega: float | None = None) -> Grid:
+              padding: float = DEFAULT_PADDING) -> Grid:
     """Build a padded grid for the window [0, alpha].
 
-    Raises DomainError on a non-finite argument, or when the requested geometry
-    cannot be realized exactly (non-integer cell counts) or violates the
-    non-aliasing pairing.
+    The frequency step is h_omega = 1/span.  Raises DomainError on a
+    non-finite argument, or when the requested geometry cannot be realized
+    exactly: span not a whole number of cells h_x, or omega_max not a whole
+    number of steps h_omega.
     """
     for name, v in (("alpha", alpha), ("h_x", h_x), ("omega_max", omega_max),
-                    ("padding", padding), ("h_omega", h_omega)):
-        if v is not None and not math.isfinite(v):
+                    ("padding", padding)):
+        if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v}")
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -90,12 +90,7 @@ def make_grid(alpha: float,
     if abs(n_x * h_x - span) > 1e-9 * span:
         raise DomainError(f"span {span} is not an integer multiple of h_x {h_x}")
 
-    if h_omega is None:
-        h_omega = 1.0 / span
-    if h_omega > 1.0 / span + 1e-12:
-        raise DomainError(
-            f"h_omega {h_omega} violates the non-aliasing bound 1/span = {1.0 / span}")
-
+    h_omega = 1.0 / span
     # in frequency-index units, with the tolerance of quantize's lattice test
     n_half = round(omega_max / h_omega)
     if abs(omega_max / h_omega - n_half) > 1e-9:

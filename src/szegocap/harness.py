@@ -155,11 +155,6 @@ def _sweep(command: str, alphas, grid_kw: dict | None, measure,
     return report, ok
 
 
-def _require_periodic(spec: SymbolSpec, check: str) -> None:
-    if not spec.unit_periodic:
-        raise DomainError(f"{check} needs a 1-periodic or time-invariant symbol")
-
-
 def run_convergence_sweep(spec: SymbolSpec, S: float, alphas,
                           grid_kw: dict | None = None, density: int = DEFAULT_QUAD_DENSITY,
                           eps_for=None) -> SweepReport:
@@ -342,7 +337,6 @@ def run_symbol_calculus_check(spec: SymbolSpec, s_values, alphas,
                               grid_kw: dict | None = None) -> SweepReport:
     """Trace-norm deviation between operator composition and symbol product:
     Q_alpha(s) = || (L_sigma L_{e(s sigma)} - L_{sigma e(s sigma)}) P ||_I1."""
-    _require_periodic(spec, "symbol-calculus check")
     if spec.smoothness_order < 3:
         raise DomainError(
             f"symbol-calculus check needs a C^3 family; {spec.family_name!r} "
@@ -368,7 +362,6 @@ def run_trace_norm_scaling(spec: SymbolSpec, s: float, alphas,
     with tau = e^{i 2 pi s sigma}, assembled from their Fourier blocks
     (operators.order_differences) in the window columns.
     """
-    _require_periodic(spec, "trace-norm scaling")
     s = float(s)
 
     def measure(grid: Grid, rec: SweepRecord) -> None:

@@ -1,16 +1,16 @@
 """Quantized operators on a grid, held as the Fourier blocks of a block-circulant
 matrix.
 
-On the padded grid the Nystrom matrix h_x * k(x_i, x_j) of a symbol that is
-periodic in time (period p) is block-circulant when the frequency samples
-sit on the lattice Z / span: shifting both indices by b = p / h_x rows
-leaves it unchanged, and the shift wraps around after m = n_x / b blocks.
-A time-invariant symbol gives b = 1.  Such a matrix is stored as its m
-Fourier blocks (shape (m, b, b)): the discrete Fourier transform over the
-block index turns it into a block-diagonal matrix with these blocks, by a
-unitary change of basis.  Products, adjoints, Hermitian parts, spectra and
-operator norms therefore act block by block, as numpy operations on the
-stacked blocks.  A grid without that shift symmetry gives m = 1, whose single
+On the padded grid the Nystrom matrix h_x * k(x_i, x_j) of a symbol of
+period 1 in time (the registry contract, see families) is block-circulant
+when the frequency samples sit on the lattice Z / span: shifting both
+indices by b = 1 / h_x rows leaves it unchanged, and the shift wraps around
+after m = n_x / b blocks.  A time-invariant symbol gives b = 1.  Such a
+matrix is stored as its m Fourier blocks (shape (m, b, b)): the discrete
+Fourier transform over the block index turns it into a block-diagonal matrix
+with these blocks, by a unitary change of basis.  Products, adjoints,
+Hermitian parts, spectra and operator norms therefore act block by block, as
+numpy operations on the stacked blocks.  A grid without that shift symmetry gives m = 1, whose single
 block is the dense matrix itself.
 """
 
@@ -112,11 +112,8 @@ def _block_size(spec: SymbolSpec, grid: Grid) -> int:
         return grid.n_x
     if spec.time_invariant:
         return 1
-    if spec.period_x is None:
-        return grid.n_x
-    b = round(spec.period_x / grid.h_x)
-    if b < 1 or abs(b * grid.h_x - spec.period_x) > _LATTICE_TOL * spec.period_x \
-            or grid.n_x % b:
+    b = round(1.0 / grid.h_x)       # the period is 1 (the registry contract)
+    if b < 1 or abs(b * grid.h_x - 1.0) > _LATTICE_TOL or grid.n_x % b:
         return grid.n_x
     return b
 

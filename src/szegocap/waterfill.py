@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NoCapacityError, UnsupportedSymbolError
+from .errors import DomainError, NoCapacityError
 from .families import SymbolSpec, eval_symbol
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_QUAD_DENSITY
 
@@ -124,14 +124,18 @@ def _solve_level(inv: np.ndarray, weight: float, S: float,
     total = weight * (a - 0.5 * h.size)
     # the prefix is empty only when power(lo) >= S rounds with ties at p = lo
     B = max(lo, (S + weight * (known - 0.5 * float(h.sum()))) / total) if a else lo
-    log_gain = np.divide(B, act)           # log(B/inv), zero where B/inv <= 1, in place
-    np.log(np.maximum(log_gain, 1.0, out=log_gain), out=log_gain)
+    # one buffer over the prefix: first the gaps max(B - 1/v, 0), whose sum
+    # does not cancel as B a - sum 1/v does when B is near every 1/v ...
+    buf = np.subtract(B, act)
+    power = weight * (float(np.maximum(buf, 0.0, out=buf).sum())
+                      - 0.5 * float(np.maximum(B - h, 0.0).sum()))
+    np.divide(B, act, out=buf)             # ... then log(B/inv), zero where B/inv <= 1
+    np.log(np.maximum(buf, 1.0, out=buf), out=buf)
     return _finite(WaterfillSolution(
         B=float(B),
-        capacity_rate=weight * (float(log_gain.sum())
+        capacity_rate=weight * (float(buf.sum())
                                 - 0.5 * float(np.log(np.maximum(B / h, 1.0)).sum())),
-        power_achieved=weight * (B * a - float(act.sum()))
-        - 0.5 * weight * (B * h.size - float(h.sum())),
+        power_achieved=power,
         active_count=int(np.count_nonzero(act < B))))
 
 
@@ -180,10 +184,6 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
     """
     if S < 0:
         raise DomainError(f"power budget S must be nonnegative, got {S}")
-    if not spec.unit_periodic:
-        raise UnsupportedSymbolError(
-            "continuous water-filling needs a time-invariant or 1-periodic symbol")
-
     if not omega_max * density > 0.5:     # round(0.5) = 0 would leave one node
         raise DomainError(f"omega_max * density must exceed 0.5 for a trapezoid of 3 or "
                           f"more nodes, got {omega_max} * {density}")

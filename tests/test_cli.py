@@ -708,3 +708,17 @@ def test_fuzz_validate_config(doc):
         validate_config(doc)
     except ConfigurationError:
         pass
+
+
+# the benchmark's seed-0 commands that run in seconds in process, checked as
+# the benchmark checks them; the capacity commands have their own test in
+# test_waterfill, and check-stability (dense, about 4 s) is left out
+@pytest.mark.parametrize("workload, prefix, count", [
+    ("operator-sweep", "sweep-", 2),
+    ("trace-diagnostics", "check-", 3),
+    ("capacity-curve", "waterfill-", 128),
+], ids=["operator-sweep", "trace-diagnostics", "waterfill"])
+def test_seed0_commands_match_reference(workload, prefix, count, seed0_reference_errors):
+    n, errs = seed0_reference_errors(workload, prefix)
+    assert n == count
+    assert not errs, "\n".join(errs[:10])

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import szegocap as sc
-from szegocap.errors import ConfigurationError, DomainError, UnsupportedSymbolError
+from szegocap.errors import ConfigurationError, DomainError
 from szegocap.families import _REGISTRY, SymbolSpec, envelope_integral
 from szegocap.grid import DEFAULT_OMEGA_MAX
-from szegocap.harness import run_trace_norm_scaling
 
 ALL_FAMILIES = ("band_constant", "cosine_gauss", "square_smooth", "two_tone")
 
@@ -39,10 +38,8 @@ def test_eval_cosine_gauss_quarter_period():
 def test_unknown_family_raises_configuration_error():
     with pytest.raises(ConfigurationError):
         sc.make_symbol("no_such_family")
-    bogus = SymbolSpec(family_name="no_such_family", params=(), period_x=None,
-                       smoothness_order=0)
     with pytest.raises(ConfigurationError):
-        sc.eval_symbol(bogus, 0.0, 0.0)
+        SymbolSpec(family_name="no_such_family", params=())
 
 
 def test_bad_parameters_raise_domain_error():
@@ -66,11 +63,8 @@ def test_non_finite_parameters_raise_domain_error(name, value):
         with pytest.raises(DomainError, match=param):
             sc.make_symbol(name, **{param: value})
         params = tuple({**spec.param_map, param: value}.items())
-        built = SymbolSpec(family_name=name, params=params, period_x=spec.period_x,
-                           smoothness_order=spec.smoothness_order,
-                           time_invariant=spec.time_invariant)
         with pytest.raises(DomainError, match=param):
-            sc.eval_symbol(built, 0.0, 0.0)
+            SymbolSpec(family_name=name, params=params)
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -83,31 +77,44 @@ def test_values_finite_and_real(name):
     assert vals.dtype == np.float64
 
 
-def test_unit_periodic_is_the_one_periodicity_rule():
-    # the symbol water-fill and the trace-norm check share the rule, each
-    # with its own error
-    assert all(sc.make_symbol(name).unit_periodic for name in ALL_FAMILIES)
-    base = sc.make_symbol("cosine_gauss")
-    assert dataclasses.replace(base, period_x=None, time_invariant=True).unit_periodic
-    for period in (None, 2.0, 1.0 + 1e-9):
-        spec = dataclasses.replace(base, period_x=period)
-        assert not spec.unit_periodic
-        with pytest.raises(UnsupportedSymbolError, match="needs a time-invariant or 1-periodic"):
-            sc.waterfill_symbol(spec, 1.0)
-        with pytest.raises(DomainError, match="trace-norm scaling needs a 1-periodic"):
-            run_trace_norm_scaling(spec, 0.5, [2])
-
-
-@pytest.mark.parametrize("name", ("cosine_gauss", "square_smooth", "two_tone"))
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
 def test_periodicity(name):
+    # the registry contract: time-invariant (sigma does not depend on x, bit
+    # for bit) or 1-periodic in x; the quantizer and the symbol water-fill
+    # take one period cell x in [0, 1)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([np.linspace(-2.0, 2.0, 101), rng.uniform(-50.0, 50.0, 32)])[:, None]
+    for params in [{}, *EVEN_PARAMS.get(name, [])]:
+        spec = sc.make_symbol(name, **params)
+        omega = np.concatenate([np.linspace(-8.0, 8.0, 33), rng.uniform(-12.0, 12.0, 64)])[None, :]
+        a = sc.eval_symbol(spec, x, omega)
+        if spec.time_invariant:
+            assert np.array_equal(a, np.broadcast_to(a[:1], a.shape)), params
+        else:
+            assert np.abs(a - sc.eval_symbol(spec, x + 1.0, omega)).max() <= 1e-12, params
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_hand_built_spec_is_checked_when_built(name):
+    # every way to build a spec validates it: make_symbol, the constructor and
+    # dataclasses.replace
     spec = sc.make_symbol(name)
-    p = spec.period_x
-    assert p == 1.0
-    x = np.linspace(-2.0, 2.0, 101)[:, None]
-    omega = np.linspace(-8.0, 8.0, 33)[None, :]
-    a = sc.eval_symbol(spec, x, omega)
-    b = sc.eval_symbol(spec, x + p, omega)
-    assert np.abs(a - b).max() <= 1e-12
+    first = spec.params[0][0]
+    bad_params = {
+        "missing": spec.params[1:],
+        "extra": spec.params + (("zz_bogus", 1.0),),
+        "nan": ((first, math.nan), *spec.params[1:]),
+        "out of domain": ((first, -1.0), *spec.params[1:]),
+    }
+    for why, params in bad_params.items():
+        match = "zz_bogus" if why == "extra" else first
+        with pytest.raises(DomainError, match=match):
+            SymbolSpec(name, params)
+        with pytest.raises(DomainError, match=match):
+            dataclasses.replace(spec, params=params)
+    with pytest.raises(ConfigurationError, match="no_such_family"):
+        dataclasses.replace(spec, family_name="no_such_family")
+    assert SymbolSpec(name, spec.params) == spec
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -164,9 +171,11 @@ def test_families_are_bitwise_even_in_omega(name):
 
 def test_metadata_flags():
     band = sc.make_symbol("band_constant")
-    assert band.time_invariant and band.period_x is None
+    assert band.time_invariant
     assert band.smoothness_order == 0
     cg = sc.make_symbol("cosine_gauss")
-    assert not cg.time_invariant and cg.period_x == 1.0
+    assert not cg.time_invariant
     assert cg.smoothness_order >= 3
     assert sc.make_symbol("square_smooth").smoothness_order < 3
+    # the flags read the registry; a spec holds only its family and parameters
+    assert [f.name for f in dataclasses.fields(cg)] == ["family_name", "params"]

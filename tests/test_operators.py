@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -16,7 +15,7 @@ from szegocap.transforms import _phase_matrix, kernel_from_values
 ALL_FAMILIES = ("band_constant", "cosine_gauss", "square_smooth", "two_tone")
 S_PHASE = 0.3
 
-# grid id -> (make_grid keywords at alpha=2, block count of a 1-periodic symbol)
+# grid id -> (grid_with_kw keywords at alpha=2, block count of a 1-periodic symbol)
 ORACLE_GRIDS = {
     "default": ({}, 18),
     "h_x=1/8": ({"h_x": 1.0 / 8.0, "omega_max": 4.0}, 18),
@@ -113,7 +112,7 @@ def test_compose_with_identity(exp_operator):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["alpha", "h_x", "omega_max", "padding", "h_omega"])
+@pytest.mark.parametrize("name", ["alpha", "h_x", "omega_max", "padding"])
 def test_non_finite_grid_arguments_raise_domain_error(name, value):
     # these used to escape as a bare ValueError (NaN) or OverflowError (inf)
     with pytest.raises(DomainError, match=name):
@@ -296,8 +295,8 @@ def test_hermitian_defect_is_exact_operator_norm(name, kind, alpha, exp_operator
 
 @pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_block_quantize_matches_dense_quadrature(name, grid_id):
-    grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
+def test_block_quantize_matches_dense_quadrature(name, grid_id, grid_with_kw):
+    grid = grid_with_kw(2, **ORACLE_GRIDS[grid_id][0])
     spec = sc.make_symbol(name)
     op = sc.quantize(spec, grid)
     assert op.blocks.shape[0] == _expected_blocks(name, grid_id, grid)
@@ -305,14 +304,11 @@ def test_block_quantize_matches_dense_quadrature(name, grid_id):
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_frequency_indices_with_step_2_give_the_dense_quadrature(name):
-    # h_omega = 2 / span (past make_grid's non-aliasing bound) puts omega * span
-    # on the even integers: whole, but not the consecutive -N..N whose reshape
+def test_frequency_indices_with_step_2_give_the_dense_quadrature(name, grid_with_kw):
+    # h_omega = 2 / span (past make_grid's step 1/span) puts omega * span on
+    # the even integers: whole, but not the consecutive -N..N whose reshape
     # groups the frequencies into classes, so the quantizer takes one dense block
-    grid = sc.make_grid(2)
-    h_omega = 2.0 / grid.span
-    grid = dataclasses.replace(grid, h_omega=h_omega,
-                               n_omega=2 * round(grid.omega_max / h_omega) + 1)
+    grid = grid_with_kw(2, h_omega=2.0 / 18.0)
     spec = sc.make_symbol(name)
     assert np.abs(sc.quantize(spec, grid).matrix - dense_quadrature(spec, grid)).max() <= 1e-12
     assert _block_size(spec, grid) == grid.n_x
@@ -320,8 +316,8 @@ def test_frequency_indices_with_step_2_give_the_dense_quadrature(name):
 
 @pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_product_deviations_match_dense_oracle(name, grid_id):
-    grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
+def test_product_deviations_match_dense_oracle(name, grid_id, grid_with_kw):
+    grid = grid_with_kw(2, **ORACLE_GRIDS[grid_id][0])
     spec = sc.make_symbol(name)
     s_values = (S_PHASE, -1.0)
     blocks = list(product_deviations(spec, s_values, grid)[1])
@@ -351,8 +347,8 @@ def test_product_deviations_sample_sigma_once(name):
 
 @pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_product_deviations_vanish_at_s_zero(name, grid_id):
-    grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
+def test_product_deviations_vanish_at_s_zero(name, grid_id, grid_with_kw):
+    grid = grid_with_kw(2, **ORACLE_GRIDS[grid_id][0])
     (dev,) = product_deviations(sc.make_symbol(name), [0.0], grid)[1]
     assert dev.shape[0] == _expected_blocks(name, grid_id, grid)
     assert not dev.any()                         # L_sigma I - L_sigma, exactly
@@ -391,8 +387,8 @@ def test_block_window_trace_matches_dense_eigh(name, grid_id):
 
 @pytest.mark.parametrize("grid_id", ORACLE_GRIDS)
 @pytest.mark.parametrize("name", ("cosine_gauss", "square_smooth", "two_tone"))
-def test_order_differences_match_two_symbol_kernel(name, grid_id):
-    grid = sc.make_grid(2, **ORACLE_GRIDS[grid_id][0])
+def test_order_differences_match_two_symbol_kernel(name, grid_id, grid_with_kw):
+    grid = grid_with_kw(2, **ORACLE_GRIDS[grid_id][0])
     spec = sc.make_symbol(name)
     for blocks, dense in zip(order_differences(spec, 0.5, grid),
                              dense_order_differences(spec, 0.5, grid)):

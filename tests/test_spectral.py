@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,8 +13,10 @@ from szegocap.spectral import (_reflection_halves, eigh_matrix, reflection_symme
 
 
 def _tiny_grid(n):
-    # a grid whose n_x equals n, for wrapping synthetic matrices
-    return sc.make_grid(1.0, h_x=1.0 / n, omega_max=0.5, padding=0.0, h_omega=0.5)
+    # a grid whose n_x equals n, for wrapping synthetic matrices; three
+    # frequencies, on half make_grid's step 1/span
+    grid = sc.make_grid(1.0, h_x=1.0 / n, omega_max=1.0, padding=0.0)
+    return dataclasses.replace(grid, omega_max=0.5, h_omega=0.5)
 
 
 def _synthetic_hermitian(n, complex_part=True):

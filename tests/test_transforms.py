@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 import szegocap as sc
-from szegocap.errors import TruncationWarning
 from szegocap.families import KernelEnvelope
 from szegocap.transforms import _phase_matrix, kernel_from_values
 
 ALL_FAMILIES = ("band_constant", "cosine_gauss", "square_smooth", "two_tone")
 TAIL_TOL = 1e-10
+
+
+class TruncationWarning(UserWarning):
+    """Kernel mass remains above the tail tolerance at the domain edge."""
 
 
 class SymbolRecovery(NamedTuple):
@@ -61,7 +64,7 @@ def test_band_kernel_diagonal_value():
     assert np.abs(np.diag(k) - 1.0).max() < 1e-12
 
 
-def test_band_kernel_sinc_profile():
+def test_band_kernel_sinc_profile(grid_with_kw):
     # closed-form Fourier integral of the box: c sin(2 pi W z) / (pi z)
     spec = sc.make_symbol("band_constant", c=1.0, W=0.25)
     grid = sc.make_grid(4)
@@ -78,7 +81,7 @@ def test_band_kernel_sinc_profile():
     assert err < 2e-2             # trapezoid O(h_omega^2) on the band
 
     # halving h_omega quarters the interior error (second-order quadrature)
-    g2 = sc.make_grid(4, h_omega=0.5 / grid.span)
+    g2 = grid_with_kw(4, h_omega=0.5 / grid.span)
     k2 = _kernel(spec, g2)
     err2 = np.abs(k2[i, :] - sinc_band(z))[keep].max()
     assert err2 < 0.3 * err
@@ -167,11 +170,11 @@ def dense_worst_margin(spec, env, grid):
                          ids=["blocks", "m=1", "off-lattice", "omega_max=4", "omega_max=2"])
 @pytest.mark.parametrize("alpha", [2, 8])
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_envelope_check_margin_matches_dense_kernel(name, alpha, grid_kw):
+def test_envelope_check_margin_matches_dense_kernel(name, alpha, grid_kw, grid_with_kw):
     # the envelope's ringing floor is |sigma(., omega_max)| of the grid's own
     # band edge, so it holds on grids cut below the default omega_max = 8
     spec = sc.make_symbol(name)
-    grid = sc.make_grid(alpha, **grid_kw)
+    grid = grid_with_kw(alpha, **grid_kw)
     env = sc.default_envelope(spec, grid.omega_max)
     expect = dense_worst_margin(spec, env, grid)
     report = sc.envelope_check(spec, env, grid)

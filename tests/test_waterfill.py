@@ -1,10 +1,4 @@
-import contextlib
-import importlib.util
-import io
-import json
 import math
-import pathlib
-import sys
 import tracemalloc
 
 import numpy as np
@@ -14,8 +8,8 @@ from hypothesis import strategies as st
 
 import szegocap as sc
 from szegocap import cli, waterfill
-from szegocap.errors import DomainError, NoCapacityError, UnsupportedSymbolError
-from szegocap.families import SymbolSpec, _REGISTRY
+from szegocap.errors import DomainError, NoCapacityError
+from szegocap.families import _REGISTRY
 from szegocap.waterfill import WaterfillSolution, rate_log
 
 
@@ -152,13 +146,6 @@ def test_symbol_quadrature_self_convergence():
     r1 = sc.waterfill_symbol(spec, 1.0, density=256).capacity_rate
     r2 = sc.waterfill_symbol(spec, 1.0, density=512).capacity_rate
     assert abs(r1 - r2) <= 1e-4
-
-
-def test_symbol_rejects_nonperiodic_time_varying():
-    broken = SymbolSpec(family_name="cosine_gauss", params=(("w", 1.0),),
-                        period_x=None, smoothness_order=99, time_invariant=False)
-    with pytest.raises(UnsupportedSymbolError):
-        sc.waterfill_symbol(broken, 1.0)
 
 
 def test_symbol_no_capacity_for_nonpositive_symbol(monkeypatch):
@@ -434,41 +421,69 @@ def test_folded_symbol_matches_full_axis_oracle(family, density, omega_max):
     assert_symbol_matches_oracle(sc.make_symbol(family), density, omega_max)
 
 
-def perfbench_workloads(monkeypatch):
-    """perfbench/workloads.py, imported without writing bytecode, and the
-    values that perfbench/reference_seed0.json records at seed 0."""
-    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  perfbench / "workloads.py")
-    wl = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, wl)   # its dataclasses look it up
-    spec.loader.exec_module(wl)
-    return wl, json.loads((perfbench / "reference_seed0.json").read_text())
+# --- the reported power is the exact power of the returned level -----------
+# At a low budget the level sits within S / weight of every active 1/v, so
+# B k - sum 1/v cancels.  For band_constant, B = 1/c + S cannot resolve S
+# below ulp(1/c), so no double level has power S; the reported power must
+# still be the power of the level it returns.
+
+POWER_BUDGETS = [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3]
 
 
-def test_capacity_curve_matches_seed0_reference(tmp_path, monkeypatch):
+def exact_power(B, inv, weight, half=None):
+    """weight * sum_{inv < B} c (B - inv), summed exactly (math.fsum) and then
+    rounded twice: c = 1/2 where the mask half is set, else 1."""
+    act = inv < B
+    c = np.where(half, 0.5, 1.0)[act] if half is not None else np.ones(np.count_nonzero(act))
+    return weight * math.fsum(np.concatenate([B * c, -inv[act] * c]).tolist())
+
+
+def folded_quadrature(spec, density, omega_max):
+    """1/sigma on waterfill_symbol's folded nodes (inf where sigma <= 0), the
+    mask of its half-weight columns (omega = 0 and omega_max) and its weight."""
+    n = int(round(omega_max * density))
+    omega = np.linspace(-omega_max, omega_max, 2 * n + 1)[n:]
+    x = np.zeros(1) if spec.time_invariant else np.arange(density) / density
+    sigma = sc.eval_symbol(spec, x[:, None], omega[None, :]) + np.zeros((x.size, 1))
+    with np.errstate(divide="ignore"):
+        inv = np.where(sigma > 0.0, 1.0 / sigma, np.inf)
+    half = np.zeros(sigma.shape, dtype=bool)
+    half[:, [0, -1]] = True
+    return inv.ravel(), half.ravel(), 2.0 * (omega_max / n) / x.size
+
+
+@pytest.mark.parametrize("family", sorted(_REGISTRY))
+def test_symbol_power_is_exact_power_of_level(family):
+    spec = sc.make_symbol(family)
+    inv, half, weight = folded_quadrature(spec, 256, 8.0)
+    for S in POWER_BUDGETS:
+        sol = sc.waterfill_symbol(spec, S)
+        assert abs(sol.power_achieved - exact_power(sol.B, inv, weight, half)) <= 1e-14 * S, S
+
+
+@pytest.mark.parametrize("spectrum", ["smooth", "ties"])
+def test_discrete_power_is_exact_power_of_level(spectrum):
+    rng = np.random.default_rng(3)
+    u = np.sort(rng.uniform(0.0, 1.0, 2048))
+    lam = {"smooth": np.exp(-4.0 * u ** 2) * (1.0 + 0.05 * rng.standard_normal(2048)),
+           "ties": np.repeat([1.0, 0.999, 0.5], [1000, 24, 1024])}[spectrum]
+    for S in POWER_BUDGETS:
+        sol = sc.waterfill_discrete(lam, S, 128.0)
+        assert abs(sol.power_achieved - exact_power(sol.B, 1.0 / lam, 1.0 / 128.0)) <= 1e-14 * S, S
+
+
+def test_capacity_curve_matches_seed0_reference(perfbench_workloads, seed0_reference_errors):
     # the benchmark's 128 capacity commands, run in process and checked as
     # the benchmark checks them: reports, then the values recorded at seed 0
-    wl, reference = perfbench_workloads(monkeypatch)
-    reference = reference["capacity-curve"]
-    cmds = [c for c in wl.build("capacity-curve", 0, str(tmp_path))
-            if c.label.startswith("capacity-")]
-    assert len(cmds) == 2 * wl.CAPACITY_CALLS
-    errs = []
-    for cmd in cmds:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(list(cmd.argv)) == cli.EXIT_OK, cmd.label
-        report = json.loads(pathlib.Path(cmd.report_path).read_text())
-        errs += [f"{cmd.label}: {e}" for e in wl.check_report(report, cmd.expect)
-                 + wl.compare_reference(wl.reference_values(report), reference[cmd.label])]
+    count, errs = seed0_reference_errors("capacity-curve", "capacity-")
+    assert count == 2 * perfbench_workloads[0].CAPACITY_CALLS
     assert not errs, "\n".join(errs[:10])
 
 
-def test_operator_sweep_symbol_side_matches_seed0_reference(tmp_path, monkeypatch):
+def test_operator_sweep_symbol_side_matches_seed0_reference(tmp_path, perfbench_workloads):
     # the symbol water-fill of the benchmark's two seed-0 sweeps, with no
     # dense work: the sweep reports its level and rate as summary keys
-    wl, reference = perfbench_workloads(monkeypatch)
+    wl, reference = perfbench_workloads
     cmds = [c for c in wl.build("operator-sweep", 0, str(tmp_path))
             if c.label.startswith("sweep-")]
     assert len(cmds) == 2
