@@ -102,6 +102,20 @@ def _is_number(v) -> bool:
         return False
 
 
+def _number_list(v) -> np.ndarray | None:
+    """A non-empty list whose every entry passes _is_number, as floats, or
+    None: the entries' types are checked once per distinct type, and their
+    finiteness in one array test."""
+    if not isinstance(v, list) or not v or not all(
+            issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, v))):
+        return None
+    try:
+        vals = np.array(v, dtype=float)
+    except OverflowError:           # an integer too large for a float
+        return None
+    return vals if np.isfinite(vals).all() else None
+
+
 def _in_bound(bound: str, v) -> bool:
     return bound == "" or (v > 0 if bound == "positive" else v >= 0)
 
@@ -123,11 +137,12 @@ def _field_value(f: _Field, v):
         if value != int(value):
             raise ConfigFieldError(f.path, f"must be an integer, got {v}")
         return int(value)
-    if not isinstance(v, list) or not v or not all(map(_is_number, v)):
+    vals = _number_list(v)
+    if vals is None:
         raise ConfigFieldError(f.path, f"expected a non-empty list of finite numbers, got {v!r}")
     if f.bound and not all(_in_bound(f.bound, u) for u in v):
         raise ConfigFieldError(f.path, f"entries must be {f.bound}, got {v}")
-    vals = list(map(float, v))
+    vals = vals.tolist()
     if f.type == "ints":
         if any(int(u) != u for u in vals):
             raise ConfigFieldError(f.path, f"entries must be integers, got {vals}")

@@ -29,6 +29,7 @@ A SymbolSpec is validated once, when it is built; evaluation trusts it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -45,7 +46,7 @@ ENVELOPE_Z_MAX = 400.0      # reach of the envelope scans and integrals
 class SymbolSpec:
     """A registered family and its parameters, validated when built:
     ConfigurationError for an unknown family, DomainError naming a missing,
-    unknown, non-finite or out-of-domain parameter."""
+    unknown, non-numeric, non-finite or out-of-domain parameter."""
     family_name: str
     params: tuple[tuple[str, float], ...]
 
@@ -59,8 +60,7 @@ class SymbolSpec:
             if name not in fam.defaults:
                 raise DomainError(f"family {self.family_name!r} has no parameter {name!r}; "
                                   f"known: {sorted(fam.defaults)}")
-            if not math.isfinite(val):
-                raise DomainError(f"parameter {name!r} must be finite, got {val}")
+            _finite_real(name, val)
         fam.validate(params)
 
     @property
@@ -91,6 +91,21 @@ class _Family:
     smoothness_order: int
     time_invariant: bool
     psi: Callable[[dict[str, float]], Callable[[np.ndarray], np.ndarray]]
+
+
+def _finite_real(name: str, value) -> float:
+    """value as a float; a DomainError naming the parameter unless it is a
+    finite real number (a bool, str, None or list is not one)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DomainError(f"parameter {name!r} must be a real number, "
+                          f"got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:           # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"parameter {name!r} must be finite, got {value}")
+    return value
 
 
 def _require_positive(params: dict[str, float], *names: str) -> None:
@@ -249,7 +264,8 @@ def _family(name: str) -> _Family:
 
 def make_symbol(family_name: str, **params: float) -> SymbolSpec:
     """The SymbolSpec of a registered family, params overriding its defaults."""
-    merged = {**_family(family_name).defaults, **{k: float(v) for k, v in params.items()}}
+    merged = {**_family(family_name).defaults,
+              **{k: _finite_real(k, v) for k, v in params.items()}}
     return SymbolSpec(family_name, tuple(sorted(merged.items())))
 
 

@@ -20,7 +20,7 @@ from .families import (SymbolSpec, default_envelope, envelope_integral,
                        sample_symbol)
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, DEFAULT_QUAD_DENSITY, Grid, make_grid
 from .operators import (assemble, hermitize, order_differences, period_samples,
-                        product_deviations, quantize, skew_norm)
+                        product_deviations, quantize, real_cast, skew_norm)
 from .spectral import (eigh_matrix, reflection_symmetric, schatten_norms, window_eigvalsh,
                        window_trace)
 from .transforms import envelope_check, kernel_from_values
@@ -241,16 +241,23 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
         w = grid.window
         op = quantize(spec, grid)
         rec.hermitian_defect = op.hermitian_defect
+        lam_in = window_eigvalsh(hermitize(op).blocks, w)
+
         # The spectral interval below feeds a finite-difference sup of f''
         # that moves by 1e-8 relative when lambda_max moves by a few ulps,
-        # so this check keeps its dense quadrature and full eigh.
-        matrix = grid.h_x * kernel_from_values(sample_symbol(spec, grid), grid)
-        herm = 0.5 * (matrix + matrix.conj().T)
-        del matrix
-
-        lam_in = window_eigvalsh(hermitize(op).blocks, w)
+        # so this check keeps its dense quadrature and full eigh, built in
+        # place to the bits of 0.5 (K + K^H) for K = h_x kernel.
+        kernel = kernel_from_values(sample_symbol(spec, grid), grid)
+        kernel *= grid.h_x
+        herm = np.conjugate(kernel.T, order="C")
+        herm += kernel
+        del kernel
+        herm *= 0.5
+        herm = real_cast(herm)
         lam_full, basis = eigh_matrix(herm, want_basis=True)
+        del herm
         wts = (np.abs(basis[w]) ** 2).sum(axis=0)
+        del basis
 
         tr_f_plp = float(np.sum(np.asarray(f(lam_in), dtype=float)))
         tr_f_l = float(np.sum(np.asarray(f(lam_full), dtype=float) * wts))

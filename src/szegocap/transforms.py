@@ -19,7 +19,8 @@ from .operators import assemble, quantize
 
 def _phase_matrix(grid: Grid) -> np.ndarray:
     # phase[i, m] = e^{-i 2 pi omega_m x_i}
-    return np.exp(-2j * np.pi * np.outer(grid.x_points(), grid.omega_points()))
+    phase = -2j * np.pi * np.outer(grid.x_points(), grid.omega_points())
+    return np.exp(phase, out=phase)
 
 
 def kernel_from_values(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -27,10 +28,15 @@ def kernel_from_values(values: np.ndarray, grid: Grid) -> np.ndarray:
 
     `values` holds the (possibly pointwise-mapped) symbol samples on the
     (x, omega) tensor grid.  The result is the unweighted kernel; quantization
-    multiplies by h_x.
+    multiplies by h_x.  At most the product's two complex operands and its
+    result are alive at once: values is dropped once weighted, unless the
+    caller holds it, and the phase is conjugated in place.
     """
+    values = values * grid.omega_weights()
     phase = _phase_matrix(grid)
-    return ((values * grid.omega_weights()) * phase) @ phase.conj().T
+    left = values * phase
+    del values
+    return left @ np.conjugate(phase, out=phase).T
 
 
 @dataclass

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -710,9 +711,26 @@ def test_fuzz_validate_config(doc):
         pass
 
 
+_entry = (st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=2)
+          | st.sampled_from([10 ** 400, -(10 ** 309), 2 ** 1023, np.float64(2.5),
+                             np.float64("nan"), [1.0]]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(_entry, max_size=6) | _entry)
+def test_number_list_matches_is_number_per_entry(v):
+    # the list check is done once per list; _is_number on each entry is the reference
+    ok = isinstance(v, list) and bool(v) and all(map(cli._is_number, v))
+    vals = cli._number_list(v)
+    assert (vals is not None) == ok, v
+    if ok:
+        assert vals.tolist() == list(map(float, v))
+
+
 # the benchmark's seed-0 commands that run in seconds in process, checked as
 # the benchmark checks them; the capacity commands have their own test in
-# test_waterfill, and check-stability (dense, about 4 s) is left out
+# test_waterfill, and check-stability (dense, about 4 s at its alphas) has the
+# test below at its first two alphas
 @pytest.mark.parametrize("workload, prefix, count", [
     ("operator-sweep", "sweep-", 2),
     ("trace-diagnostics", "check-", 3),
@@ -721,4 +739,26 @@ def test_fuzz_validate_config(doc):
 def test_seed0_commands_match_reference(workload, prefix, count, seed0_reference_errors):
     n, errs = seed0_reference_errors(workload, prefix)
     assert n == count
+    assert not errs, "\n".join(errs[:10])
+
+
+def test_seed0_check_stability_matches_reference_at_first_alphas(perfbench_workloads, tmp_path):
+    # f_second_sup, bound, ratio and spectral_interval are finite differences
+    # of f that move past the 1e-8 tolerance when lambda_max moves by one ulp,
+    # so this pins the dense oracle's bits; alpha = 128 and the fits are left
+    # to the benchmark
+    wl, reference = perfbench_workloads
+    [cmd] = [c for c in wl.build("operator-sweep", 0, str(tmp_path))
+             if c.label.startswith("check-stability")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(cmd.argv + ["--alphas", "32,64"]) == cli.EXIT_OK
+    with open(cmd.report_path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert [r["alpha"] for r in report["records"]] == [32, 64]
+    first = ("records[0].", "records[1].")
+    values = {k: v for k, v in wl.reference_values(report).items() if k.startswith(first)}
+    ref = {k: v for k, v in reference["operator-sweep"][cmd.label].items()
+           if k.startswith(first)}
+    assert {k.split(".")[-1] for k in ref} >= {"f_second_sup", "bound", "ratio"}
+    errs = wl.check_report(report, cmd.expect) + wl.compare_reference(values, ref)
     assert not errs, "\n".join(errs[:10])

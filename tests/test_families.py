@@ -67,6 +67,21 @@ def test_non_finite_parameters_raise_domain_error(name, value):
             SymbolSpec(family_name=name, params=params)
 
 
+@pytest.mark.parametrize("value", ["x", "1.0", None, True, False, [1.0], 10 ** 400],
+                         ids=["str", "numeric-str", "None", "True", "False", "list", "huge-int"])
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_non_numeric_parameters_raise_domain_error(name, value):
+    # a library caller's non-number must not end in float()'s bare
+    # ValueError or TypeError, nor a bool be taken as 0 or 1
+    spec = sc.make_symbol(name)
+    for param in spec.param_map:
+        with pytest.raises(DomainError, match=param):
+            sc.make_symbol(name, **{param: value})
+        params = tuple({**spec.param_map, param: value}.items())
+        with pytest.raises(DomainError, match=param):
+            SymbolSpec(family_name=name, params=params)
+
+
 @pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_values_finite_and_real(name):
     spec = sc.make_symbol(name)

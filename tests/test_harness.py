@@ -206,6 +206,24 @@ def test_hs_boundary_check_memory():
     assert peak <= 25e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize("alpha", [32, 64])
+def test_stability_check_dense_peak(alpha):
+    # the dense oracle's kernel product holds its two n_x x n_omega operands
+    # and the result, about three complex n_x x n_x arrays (n_omega ~ n_x),
+    # and every later step must work in place
+    import tracemalloc
+    n_x = sc.make_grid(alpha).n_x
+    tracemalloc.start()
+    try:
+        rep = run_stability_check(sc.make_symbol("two_tone", c=4.0), sc.build_f_eps(0.1),
+                                  [alpha], padding_tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "error" not in rep.records[0].extra
+    assert peak <= 3.25 * 16 * n_x ** 2, f"traced peak {peak / (16 * n_x ** 2):.2f} x 16 n_x^2"
+
+
 def test_hs_full_sq_matches_dense_rows():
     # Parseval over the block index against the assembled window rows; the
     # cross term doubles the left padding's for all but square_smooth
