@@ -17,6 +17,11 @@ from .grid import Grid
 from .operators import assemble, quantize
 
 
+# row panels of kernel_from_values's product: each holds a sixteenth of the
+# left operand, and each repacks the whole right operand in BLAS
+_PANELS = 16
+
+
 def _phase_matrix(grid: Grid) -> np.ndarray:
     # phase[i, m] = e^{-i 2 pi omega_m x_i}
     phase = -2j * np.pi * np.outer(grid.x_points(), grid.omega_points())
@@ -28,15 +33,24 @@ def kernel_from_values(values: np.ndarray, grid: Grid) -> np.ndarray:
 
     `values` holds the (possibly pointwise-mapped) symbol samples on the
     (x, omega) tensor grid.  The result is the unweighted kernel; quantization
-    multiplies by h_x.  At most the product's two complex operands and its
-    result are alive at once: values is dropped once weighted, unless the
-    caller holds it, and the phase is conjugated in place.
+    multiplies by h_x.  The product left @ conj(phase).T runs in _PANELS row
+    panels, each panel's left = phase * weighted values in a panel-sized
+    temporary, so besides the caller's samples only the conjugated phase and
+    the result are whole arrays.  Every element sees the same IEEE operations
+    and zgemm k-order as one product, so the kernel keeps its bits.
     """
-    values = values * grid.omega_weights()
-    phase = _phase_matrix(grid)
-    left = values * phase
-    del values
-    return left @ np.conjugate(phase, out=phase).T
+    w = grid.omega_weights()
+    cphase = _phase_matrix(grid)
+    np.conjugate(cphase, out=cphase)
+    n = cphase.shape[0]
+    kernel = np.empty((n, n), dtype=complex)
+    step = -(-n // _PANELS)
+    for r in range(0, n, step):
+        rows = slice(r, r + step)
+        left = np.conjugate(cphase[rows])
+        left *= values[rows] * w
+        np.matmul(left, cphase.T, out=kernel[rows])
+    return kernel
 
 
 @dataclass

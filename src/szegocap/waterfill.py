@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -214,9 +215,19 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
 
 
 def sup_abs_second_derivative(f, lo: float, hi: float) -> float:
-    """Sup norm of f'' on [lo, hi] by central second differences on 400,001 points."""
+    """Sup norm of f'' on [lo, hi] by central second differences on 400,001 points.
+
+    Raises DomainError when the squared step is not a positive normal float:
+    an interval narrower than about 6e-149 would divide by a subnormal or by
+    0, and one wider than about 5e159 by inf."""
     xs = np.linspace(lo, hi, 400001)
     h = xs[1] - xs[0]
+    with np.errstate(over="ignore"):
+        h2 = h ** 2
+    if not sys.float_info.min <= h2 <= sys.float_info.max:
+        raise DomainError(f"interval [{lo!r}, {hi!r}] is out of range for f'' by second "
+                          f"differences: the squared step {float(h2)!r} is not a positive "
+                          "normal float")
     v = np.asarray(f(xs), dtype=float)
-    d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
+    d2 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
     return float(np.abs(d2).max())

@@ -16,6 +16,7 @@ from szegocap import cli
 from szegocap.cli import ConfigFieldError, main, validate_config
 from szegocap.errors import ConfigurationError
 from szegocap.families import _REGISTRY
+from szegocap.grid import make_grid
 
 
 def run_cli(args, capsys):
@@ -623,6 +624,65 @@ def test_check_stability_refuses_alpha_1(tmp_path, capsys):
     assert first["alpha"] == 1 and "needs alpha >= 2" in first["extra"]["error"]
     assert "bound" not in first["extra"]
     assert [r["alpha"] for r in rest] == [2, 4] and all(r["extra"]["bound"] > 0 for r in rest)
+
+
+def test_check_stability_records_a_degenerate_interval(tmp_path, capsys):
+    # the spectral interval [0, 6.6e-301] leaves a second-difference step whose
+    # square is 0: each alpha records a DomainError naming the interval,
+    # where f_second_sup and bound used to read NaN
+    out_path = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["check-stability", "--family", "two_tone", "--param",
+                                  "c=1e-300", "--alphas", "2,4,8",
+                                  "--output", str(out_path), "--format", "json"], capsys)
+    assert code == 0, err
+    records = json.loads(out_path.read_text(), parse_constant=_reject_constant)["records"]
+    assert [r["alpha"] for r in records] == [2, 4, 8]
+    for r in records:
+        assert r["extra"]["error"].startswith("DomainError: interval [0.0, 6.6")
+        assert "f_second_sup" not in r["extra"] and "bound" not in r["extra"]
+
+
+# Runs argv[1:] and prints its ru_maxrss from wait4.  A child's peak RSS
+# counts its parent's peak at the fork, so the command is started from this
+# small launcher rather than straight from the test process.
+_PEAK_RSS_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def _child_peak_rss(args) -> int:
+    """Peak RSS in bytes of one `python -m szegocap.cli args` process, with
+    this checkout's szegocap first on the path."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_LAUNCHER,
+                           sys.executable, "-m", "szegocap.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
+
+
+def test_check_stability_process_peak(tmp_path):
+    # tracemalloc does not see LAPACK's malloc'ed workspace, so the whole
+    # process is measured: the dense oracle's growth from alpha 2 to 64 must
+    # stay within 2.75 complex n_x x n_x arrays, the floor of numpy's eigh
+    # (input, its copy, basis and the 2 n^2 workspace) with some slack
+    n_x = make_grid(64).n_x
+    rss = {}
+    for alpha in (2, 64):
+        rss[alpha] = _child_peak_rss(
+            ["check-stability", "--family", "two_tone", "--param", "c=4",
+             "--padding-tol", "1e-6", "--alphas", str(alpha),
+             "--output", str(tmp_path / f"r{alpha}.json")])
+    grown = (rss[64] - rss[2]) / (16 * n_x ** 2)
+    assert rss[64] > rss[2]
+    assert grown <= 2.75, f"peak RSS grew {grown:.2f} x 16 n_x^2 from alpha 2 to 64"
 
 
 def _imported_modules(args):

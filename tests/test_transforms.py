@@ -50,6 +50,26 @@ def _kernel(spec, grid):
     return kernel_from_values(sc.sample_symbol(spec, grid), grid)
 
 
+def _one_shot_kernel(values, grid):
+    """The kernel as one product (weighted values * phase) @ conj(phase).T."""
+    values = values * grid.omega_weights()
+    phase = _phase_matrix(grid)
+    left = values * phase
+    del values
+    return left @ np.conjugate(phase, out=phase).T
+
+
+@pytest.mark.parametrize("alpha,grid_kw", [
+    (2, {}), (8, {}), (24, {}),
+    (5, {"h_x": 1 / 15, "omega_max": 7.0}),     # n_x 315: off-lattice, short last panel
+    (40, {"h_x": 0.125, "omega_max": 4.0})], ids=str)
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_kernel_panels_match_one_shot_product(name, alpha, grid_kw):
+    grid = sc.make_grid(alpha, **grid_kw)
+    values = sc.sample_symbol(sc.make_symbol(name), grid)
+    assert np.array_equal(kernel_from_values(values, grid), _one_shot_kernel(values, grid))
+
+
 def _quiet_recover(kernel, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)

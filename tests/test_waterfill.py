@@ -532,3 +532,20 @@ def test_tied_top_eigenvalues_with_tiny_budget_match_oracle(lam, log_s):
     # power(1/v_max) = 0 over the ties rounds to >= S, which dropped every
     # candidate with no entry known active; the next round divided by zero
     assert_matches_oracle(lam, 10.0 ** log_s)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 0.0), (0.0, 6.6e-301), (0.0, 1e-150), (-1e160, 1e160)])
+def test_sup_abs_second_derivative_refuses_degenerate_step(lo, hi):
+    # a squared step that is 0, subnormal or inf would turn f'' into NaN, inf or 0
+    with pytest.raises(DomainError, match=r"interval \[.*\] is out of range"):
+        waterfill.sup_abs_second_derivative(np.sin, lo, hi)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 1e-140), (-2.0, 3.0), (0.0, 1e150)])
+def test_sup_abs_second_derivative_keeps_its_division(lo, hi):
+    # every interval with a normal squared step divides as before, bit for bit
+    f = lambda v: np.sin(v / hi)
+    xs = np.linspace(lo, hi, 400001)
+    v = f(xs)
+    old = float(np.abs((v[2:] - 2.0 * v[1:-1] + v[:-2]) / (xs[1] - xs[0]) ** 2).max())
+    assert waterfill.sup_abs_second_derivative(f, lo, hi) == old
