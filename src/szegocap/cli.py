@@ -3,15 +3,16 @@
 Exit codes: 0 success, 2 config error, 3 config read error, 4 report write
 error, 5 numerical failure during the run (out of memory included).
 
-A run is configured by a JSON document, command-line flags, or both; flags
-override document fields.  The resolved config is echoed into every report.
+A run is configured by a JSON document, command-line flags, or both.  Each
+flag sets one entry of the document (--eps and --delta the whole eps_schedule),
+filling in an absent or null section; a section that the document gives as a
+non-object stays an error.  The resolved config is echoed into every report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -92,64 +93,34 @@ class RunConfig(SimpleNamespace):
                 for k, v in vars(self).items() if k != "dump_operator"}
 
 
-def _is_number(v) -> bool:
-    """A finite JSON number; JSON's NaN and Infinity (and flags' nan, inf) fail."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:           # an integer too large for a float
-        return False
-
-
-def _number_list(v) -> np.ndarray | None:
-    """A non-empty list whose every entry passes _is_number, as floats, or
-    None: the entries' types are checked once per distinct type, and their
-    finiteness in one array test."""
-    if not isinstance(v, list) or not v or not all(
-            issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, v))):
-        return None
-    try:
-        vals = np.array(v, dtype=float)
-    except OverflowError:           # an integer too large for a float
-        return None
-    return vals if np.isfinite(vals).all() else None
-
-
-def _in_bound(bound: str, v) -> bool:
-    return bound == "" or (v > 0 if bound == "positive" else v >= 0)
-
-
-def _number(path: str, v, bound: str = "") -> float:
-    if not _is_number(v):
-        raise ConfigFieldError(path, f"expected a finite number, got {v!r}")
-    if not _in_bound(bound, v):
-        raise ConfigFieldError(path, f"must be {bound}, got {v}")
-    return float(v)
-
-
-def _field_value(f: _Field, v):
-    """Validate the document value v of field f and cast it to the field's type."""
-    if f.type == "float":
-        return _number(f.path, v, f.bound)
-    if f.type == "int":
-        value = _number(f.path, v, f.bound)
-        if value != int(value):
-            raise ConfigFieldError(f.path, f"must be an integer, got {v}")
-        return int(value)
-    vals = _number_list(v)
-    if vals is None:
-        raise ConfigFieldError(f.path, f"expected a non-empty list of finite numbers, got {v!r}")
-    if f.bound and not all(_in_bound(f.bound, u) for u in v):
-        raise ConfigFieldError(f.path, f"entries must be {f.bound}, got {v}")
-    vals = vals.tolist()
-    if f.type == "ints":
+def _numbers(path: str, kind: str, bound: str, v):
+    """The config value v at `path`, validated and cast to `kind` (see _Field).
+    A scalar is checked as the one-entry list [v]: each entry must be a finite
+    number (no bool, NaN, inf or integer beyond the float range), then within
+    `bound`, then for int kinds an integer, then distinct."""
+    one = kind in ("float", "int")
+    vals = [v] if one else v
+    arr = None
+    if isinstance(vals, list) and vals and all(   # once per distinct entry type
+            issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, vals))):
+        try:
+            arr = np.array(vals, dtype=float)
+        except OverflowError:       # an integer too large for a float
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        raise ConfigFieldError(path, f"expected a finite number, got {v!r}" if one
+                               else f"expected a non-empty list of finite numbers, got {v!r}")
+    if bound and not (arr > 0 if bound == "positive" else arr >= 0).all():
+        raise ConfigFieldError(path, f"{'' if one else 'entries '}must be {bound}, got {v}")
+    vals = arr.tolist()
+    if kind in ("int", "ints"):
         if any(int(u) != u for u in vals):
-            raise ConfigFieldError(f.path, f"entries must be integers, got {vals}")
+            raise ConfigFieldError(path, f"must be an integer, got {v}" if one
+                                   else f"entries must be integers, got {vals}")
         if len(set(vals)) < len(vals):
-            raise ConfigFieldError(f.path, f"entries must be distinct, got {vals}")
-        return [int(u) for u in vals]
-    return vals
+            raise ConfigFieldError(path, f"entries must be distinct, got {vals}")
+        vals = [int(u) for u in vals]
+    return vals[0] if one else vals
 
 
 def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
@@ -175,9 +146,10 @@ def validate_config(doc: dict) -> RunConfig:
         raise ConfigFieldError("", f"config document must be an object, got {type(doc).__name__}")
     _reject_unknown(doc, _TOP_LEVEL, "")
 
-    if "schema_version" in doc and doc["schema_version"] != 1:
+    version = doc.get("schema_version", 1)
+    if version != 1 or isinstance(version, bool):
         raise ConfigFieldError("schema_version",
-                               f"unsupported version {doc['schema_version']!r}; this build reads 1")
+                               f"unsupported version {version!r}; this build reads 1")
     if "command" not in doc or doc["command"] is None:
         raise ConfigFieldError("command", "missing required field")
     if doc["command"] not in COMMANDS:
@@ -190,10 +162,12 @@ def validate_config(doc: dict) -> RunConfig:
         if "family" not in sym or not isinstance(sym["family"], str):
             raise ConfigFieldError("symbol.family", "missing or non-string family name")
         params = sym.get("params", {})
-        if not isinstance(params, dict) or not all(_is_number(v) for v in params.values()):
+        if not isinstance(params, dict):
             raise ConfigFieldError("symbol.params", "expected a map of name -> finite number")
         try:
             make_symbol(sym["family"], **params)
+        except DomainError as exc:      # a parameter, named in the message
+            raise ConfigFieldError("symbol.params", str(exc)) from exc
         except SzegocapError as exc:
             raise ConfigFieldError("symbol", str(exc)) from exc
         cfg.symbol = {"family": sym["family"], "params": {k: float(v) for k, v in params.items()}}
@@ -203,7 +177,7 @@ def validate_config(doc: dict) -> RunConfig:
         section, _, key = f.path.rpartition(".")
         src = (gdoc or {}) if section else doc
         if key in src and (src[key] is not None or f.default is not None):
-            value = _field_value(f, src[key])
+            value = _numbers(f.path, f.type, f.bound, src[key])
         else:
             value = list(f.default) if isinstance(f.default, tuple) else f.default
         if section:
@@ -220,11 +194,13 @@ def validate_config(doc: dict) -> RunConfig:
         if mode not in ("fixed", "alpha_power"):
             raise ConfigFieldError("eps_schedule.mode",
                                    f"expected 'fixed' or 'alpha_power', got {mode!r}")
+        key, unread = ("eps", "delta") if mode == "fixed" else ("delta", "eps")
+        if unread in es:
+            raise ConfigFieldError(f"eps_schedule.{unread}", f"{mode} mode reads no {unread}")
         if mode == "fixed" and "eps" not in es:
             raise ConfigFieldError("eps_schedule.eps", "required for fixed mode")
-        key = "eps" if mode == "fixed" else "delta"
-        cfg.eps_schedule = {"mode": mode, key: _number(f"eps_schedule.{key}",
-                                                      es.get(key, 0.125), "positive")}
+        cfg.eps_schedule = {"mode": mode, key: _numbers(f"eps_schedule.{key}", "float",
+                                                        "positive", es.get(key, 0.125))}
         if mode == "fixed":
             try:
                 build_f_eps(cfg.eps_schedule["eps"])
@@ -284,8 +260,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     for f in _FIELDS:
         p.add_argument(f.flag, dest=f.path.rpartition(".")[2], help=f.help,
                        type=float if f.type in ("float", "int") else None)
-    p.add_argument("--eps", type=float, help="fixed smoothing width (eps schedule)")
-    p.add_argument("--delta", type=float, help="alpha^(-delta) smoothing schedule")
+    eps = p.add_mutually_exclusive_group()
+    eps.add_argument("--eps", type=float, help="fixed smoothing width (eps schedule)")
+    eps.add_argument("--delta", type=float, help="alpha^(-delta) smoothing schedule")
     p.add_argument("--output", help="report path")
     p.add_argument("--format", choices=("csv", "json"), help="report format")
     p.add_argument("--dump-operator", dest="dump_operator", metavar="PATH",
@@ -294,47 +271,47 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _put(doc: dict, path: str, value) -> None:
-    """Set doc[path], where "a.b" is key b of the object doc["a"]; a section
-    that is no object is left for validation to reject."""
-    section, _, key = path.rpartition(".")
-    if not section:
-        doc[key] = value
-    elif isinstance(doc.get(section) or {}, dict):
-        doc[section] = {**(doc.get(section) or {}), key: value}
+def _put(doc: dict, keys: tuple[str, ...], value) -> None:
+    """Set doc[k1]...[kn] = value for keys (k1, ..., kn), filling in each
+    absent or null section on the way; a section that is no object is left
+    for validate_config to reject."""
+    *sections, key = keys
+    for k in sections:
+        if doc.get(k) is None:
+            doc[k] = {}
+        doc = doc[k]
+        if not isinstance(doc, dict):
+            return
+    doc[key] = value
 
 
 def merge_flags(doc: dict, args: argparse.Namespace) -> dict:
-    """Overlay command-line flags onto the config document (flags win)."""
-    doc = json.loads(json.dumps(doc))  # deep copy, JSON types only
-    if args.command:
-        doc["command"] = args.command
-    if args.family:
-        _put(doc, "symbol.family", args.family)
-    if args.param:
-        sym = doc.get("symbol") or {}
-        params = dict(sym.get("params") or {}) if isinstance(sym, dict) else {}
-        for item in args.param:
-            name, eq, val = item.partition("=")
-            if not eq:
-                raise ConfigFieldError("symbol.params", f"expected NAME=VALUE, got {item!r}")
-            try:
-                params[name] = float(val)
-            except ValueError:
-                raise ConfigFieldError("symbol.params",
-                                       f"parameter {name!r} value {val!r} is not a number") from None
-        _put(doc, "symbol.params", params)
+    """Overlay command-line flags onto a copy of the config document (flags
+    win): each given flag is one edit (keys, value), applied by _put."""
+    edits = [(("command",), args.command), (("symbol", "family"), args.family)]
+    for item in args.param:
+        name, eq, val = item.partition("=")
+        if not eq:
+            raise ConfigFieldError("symbol.params", f"expected NAME=VALUE, got {item!r}")
+        try:
+            edits.append((("symbol", "params", name), float(val)))
+        except ValueError:
+            raise ConfigFieldError("symbol.params",
+                                   f"parameter {name!r} value {val!r} is not a number") from None
     for f in _FIELDS:
         value = getattr(args, f.path.rpartition(".")[2])
-        if value is not None:
-            _put(doc, f.path, _parse_num_list(value) if f.type in ("floats", "ints") else value)
+        if value is not None and f.type in ("floats", "ints"):
+            value = _parse_num_list(value)
+        edits.append((tuple(f.path.split(".")), value))
     if args.eps is not None:
-        doc["eps_schedule"] = {"mode": "fixed", "eps": args.eps}
-    elif args.delta is not None:
-        doc["eps_schedule"] = {"mode": "alpha_power", "delta": args.delta}
-    for key, value in (("path", args.output), ("format", args.format)):
+        edits.append((("eps_schedule",), {"mode": "fixed", "eps": args.eps}))
+    if args.delta is not None:
+        edits.append((("eps_schedule",), {"mode": "alpha_power", "delta": args.delta}))
+    edits += [(("output", "path"), args.output), (("output", "format"), args.format)]
+    doc = json.loads(json.dumps(doc))  # deep copy, JSON types only
+    for keys, value in edits:
         if value is not None:
-            _put(doc, "output." + key, value)
+            _put(doc, keys, value)
     return doc
 
 

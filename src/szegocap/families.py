@@ -262,7 +262,7 @@ def _family(name: str) -> _Family:
             f"unknown symbol family {name!r}; registered: {sorted(_REGISTRY)}") from None
 
 
-def make_symbol(family_name: str, **params: float) -> SymbolSpec:
+def make_symbol(family_name: str, /, **params: float) -> SymbolSpec:
     """The SymbolSpec of a registered family, params overriding its defaults."""
     merged = {**_family(family_name).defaults,
               **{k: _finite_real(k, v) for k, v in params.items()}}

@@ -292,14 +292,21 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
                           grid_kw: dict | None = None) -> SweepReport:
     """Hilbert-Schmidt growth: ||P L||_I2^2 <= alpha ||psi||_1 and the log-law
     fit of the cross term ||P L (1-P)||_I2^2."""
-    first_grid = make_grid(_check_alphas(alphas)[0], **(grid_kw or {}))
-    env = default_envelope(spec, first_grid.omega_max)
-    env_report = envelope_check(spec, env, first_grid)
-    if not env_report.passed:
-        failed = "pointwise" if not env_report.pointwise_ok else "tail"
-        raise ConfigurationError(
-            f"default envelope fails its own {failed} check (worst margin "
-            f"{env_report.worst_margin:.3e}); cannot certify HS bounds")
+    grid_kw = grid_kw or {}
+    env = default_envelope(spec, grid_kw.get("omega_max", DEFAULT_OMEGA_MAX))
+    # checked on the first alpha whose grid builds; _sweep records the others' errors
+    for alpha in _check_alphas(alphas):
+        try:
+            first_grid = make_grid(alpha, **grid_kw)
+        except SzegocapError:
+            continue
+        env_report = envelope_check(spec, env, first_grid)
+        if not env_report.passed:
+            failed = "pointwise" if not env_report.pointwise_ok else "tail"
+            raise ConfigurationError(
+                f"default envelope fails its own {failed} check (worst margin "
+                f"{env_report.worst_margin:.3e}); cannot certify HS bounds")
+        break
     psi_l1 = envelope_integral(env)
 
     def measure(grid: Grid, rec: SweepRecord) -> None:

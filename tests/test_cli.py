@@ -353,6 +353,25 @@ def test_check_hs_envelope_follows_the_grids_band_edge(capsys):
     assert code == 0, err
 
 
+def test_check_hs_records_a_grid_error_at_any_alpha(tmp_path, capsys):
+    # the span 19 of alpha 3 is no whole number of h_x = 0.3 cells; with alpha
+    # 3 first, the envelope check's grid raised that and the command exited 5
+    records = {}
+    for alphas in ("3,2,5", "2,3,5", "3"):
+        out_path = tmp_path / f"{alphas}.json"
+        code, out, err = run_cli(["check-hs", "--family", "cosine_gauss", "--h-x", "0.3",
+                                  "--omega-max", "1", "--alphas", alphas,
+                                  "--output", str(out_path)], capsys)
+        assert code == 0, err
+        report = json.loads(out_path.read_text())
+        records[alphas] = {r["alpha"]: r for r in report["records"]}
+    assert records["3,2,5"] == records["2,3,5"]
+    assert records["3"][3] == records["2,3,5"][3]
+    assert records["3"][3]["extra"] == {
+        "error": "DomainError: span 19.0 is not an integer multiple of h_x 0.3"}
+    assert report["summary"]["hs_bound_ok_all"] is False
+
+
 def test_check_stability_tail_follows_the_grids_band_edge(capsys):
     # with the ringing of a band cut at omega_max = 4, two_tone's envelope
     # tail beyond the padding is 1.19e-6
@@ -401,6 +420,26 @@ def test_minimal_config_echo_is_pinned():
         "eps_schedule": None, "output": None}, sort_keys=True)
 
 
+def test_full_config_echo_is_pinned():
+    # a document that sets every field and every section
+    echo = validate_config({
+        "schema_version": 1, "command": "check-stability",
+        "symbol": {"family": "two_tone", "params": {"c": 4}}, "power_S": 2,
+        "alphas": [2, 4], "alpha": 3, "eigs": [2, 1.5], "s": 0.25, "s_values": [0.5, 1],
+        "grid": {"h_x": 0.03125, "omega_max": 4, "padding_m": 6, "quad_density": 128,
+                 "padding_tol": 1e-6},
+        "eps_schedule": {"mode": "fixed", "eps": 0.2},
+        "output": {"path": "r.csv", "format": "csv"}}).as_dict()
+    assert json.dumps(echo, sort_keys=True) == json.dumps({
+        "schema_version": 1, "command": "check-stability",
+        "symbol": {"family": "two_tone", "params": {"c": 4.0}}, "power_S": 2.0,
+        "alphas": [2, 4], "alpha": 3.0, "eigs": [2.0, 1.5], "s": 0.25, "s_values": [0.5, 1.0],
+        "grid": {"h_x": 0.03125, "omega_max": 4.0, "padding_m": 6.0, "quad_density": 128,
+                 "padding_tol": 1e-06},
+        "eps_schedule": {"mode": "fixed", "eps": 0.2},
+        "output": {"path": "r.csv", "format": "csv"}}, sort_keys=True)
+
+
 # one value per schema field: the flag's text and the same value in a document
 FLAG_VALUES = {
     "power_S": ("2.5", 2.5), "alphas": ("4,8", [4, 8]), "alpha": ("3", 3),
@@ -411,19 +450,105 @@ FLAG_VALUES = {
 }
 
 
-@pytest.mark.parametrize("field", cli._FIELDS, ids=lambda f: f.flag)
-def test_every_flag_matches_its_document_field(field):
-    text, value = FLAG_VALUES[field.path]
-    section, _, key = field.path.rpartition(".")
-    doc = {"command": "sweep", **({section: {key: value}} if section else {key: value})}
-    from_flag = cli.parse_config(["sweep", field.flag, text]).as_dict()
-    from_doc = validate_config(doc).as_dict()
+# the flags outside _FIELDS: their arguments and the same setting in a document
+OTHER_FLAGS = {
+    "--family": (["--family", "two_tone"], {"symbol": {"family": "two_tone"}}),
+    "--param": (["--family", "two_tone", "--param", "c=2"],
+                {"symbol": {"family": "two_tone", "params": {"c": 2}}}),
+    "--eps": (["--eps", "0.2"], {"eps_schedule": {"mode": "fixed", "eps": 0.2}}),
+    "--delta": (["--delta", "0.3"], {"eps_schedule": {"mode": "alpha_power", "delta": 0.3}}),
+    "--output": (["--output", "r.csv"], {"output": {"path": "r.csv"}}),
+    "--format": (["--output", "r.csv", "--format", "csv"],
+                 {"output": {"path": "r.csv", "format": "csv"}}),
+}
+
+
+def _flag_cases():
+    for f in cli._FIELDS:
+        text, value = FLAG_VALUES[f.path]
+        section, _, key = f.path.rpartition(".")
+        yield pytest.param([f.flag, text], {section: {key: value}} if section else {key: value},
+                           id=f.flag)
+    for flag, (argv, doc) in OTHER_FLAGS.items():
+        yield pytest.param(argv, doc, id=flag)
+
+
+@pytest.mark.parametrize("argv, doc", list(_flag_cases()))
+def test_every_flag_matches_its_document_field(argv, doc):
+    from_flag = cli.parse_config(["sweep", *argv]).as_dict()
+    from_doc = validate_config({"command": "sweep", **doc}).as_dict()
     assert json.dumps(from_flag, sort_keys=True) == json.dumps(from_doc, sort_keys=True)
     assert from_doc != validate_config({"command": "sweep"}).as_dict()
 
 
 def test_flag_table_covers_every_field():
     assert set(FLAG_VALUES) == {f.path for f in cli._FIELDS}
+    # every option but the help, the document and the debugging aid is in a table
+    options = {opt for action in cli.build_arg_parser()._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert options - {"--help", "--config", "--dump-operator"} \
+        == {f.flag for f in cli._FIELDS} | set(OTHER_FLAGS)
+
+
+CAPACITY = {"command": "capacity", "symbol": {"family": "cosine_gauss"}}
+
+
+@pytest.mark.parametrize("doc, flags, section", [
+    ({**CAPACITY, "grid": []}, ["--h-x", "0.03125"], "grid"),
+    ({"command": "capacity", "symbol": ""}, ["--family", "cosine_gauss"], "symbol"),
+    ({**CAPACITY, "output": 0}, ["--output", "r.json"], "output"),
+    ({**CAPACITY, "symbol": {"family": "cosine_gauss", "params": 0}}, ["--param", "w=3"],
+     "symbol.params"),
+    ({**CAPACITY, "symbol": {"family": "cosine_gauss", "params": [["w", 2]]}},
+     ["--param", "w=3"], "symbol.params"),
+    ({**CAPACITY, "symbol": {"family": "cosine_gauss", "params": [1, 2]}}, ["--param", "w=3"],
+     "symbol.params"),
+    ({**CAPACITY, "symbol": {"family": "cosine_gauss", "params": "ab"}}, ["--param", "w=3"],
+     "symbol.params"),
+], ids=["grid-list", "symbol-string", "output-zero", "params-zero", "params-pairs",
+        "params-list", "params-string"])
+def test_a_flag_leaves_a_non_object_section_an_error(tmp_path, monkeypatch, capsys,
+                                                     doc, flags, section):
+    # a flag sets one entry; it replaced a falsy section (exit 0) and crashed
+    # on a truthy list or string of params (a TypeError or ValueError)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, doc)
+    for argv in (["-c", cfg], ["-c", cfg, *flags]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error at {section!r}: "), err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--param", "w=nan"], "parameter 'w' must be finite, got nan"),
+    (["--param", "w=-1"], "parameter 'w' must be positive, got -1.0"),
+    (["--param", "family_name=1"], "family 'cosine_gauss' has no parameter 'family_name'"),
+], ids=["nan", "negative", "make_symbol-argument"])
+def test_a_bad_symbol_parameter_is_named(capsys, argv, message):
+    code, out, err = run_cli(["capacity", "--family", "cosine_gauss", *argv], capsys)
+    assert code == 2
+    assert err.startswith(f"config error at 'symbol.params': {message}"), err
+
+
+def test_eps_and_delta_flags_exclude_each_other(capsys):
+    # --delta was dropped without a word
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "cosine_gauss", "--eps", "0.1", "--delta", "0.3"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"eps_schedule": {"mode": "alpha_power", "eps": 0.1}}, "eps_schedule.eps"),
+    ({"eps_schedule": {"mode": "fixed", "eps": 0.1, "delta": 0.3}}, "eps_schedule.delta"),
+    ({"schema_version": True}, "schema_version"),
+], ids=["alpha_power-eps", "fixed-delta", "schema_version-true"])
+def test_strict_schema_rejects_what_it_would_drop(doc, path):
+    # alpha_power ran with the default delta, fixed ignored delta, and true read as 1
+    with pytest.raises(ConfigFieldError) as exc:
+        validate_config({"command": "sweep", **doc})
+    assert exc.value.path == path
 
 
 def test_json_roundtrip_is_lossless(tmp_path, capsys):
@@ -776,15 +901,37 @@ _entry = (st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_
                              np.float64("nan"), [1.0]]))
 
 
+def _is_number(v) -> bool:
+    """The reference rule for one entry: a finite number that is no bool."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:           # an integer too large for a float
+        return False
+
+
+def _checked(kind, v):
+    try:
+        return cli._numbers("field", kind, "", v)
+    except ConfigFieldError:
+        return None
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(st.lists(_entry, max_size=6) | _entry)
 def test_number_list_matches_is_number_per_entry(v):
-    # the list check is done once per list; _is_number on each entry is the reference
-    ok = isinstance(v, list) and bool(v) and all(map(cli._is_number, v))
-    vals = cli._number_list(v)
+    # the list check is done once per list, and a scalar is checked as the
+    # list [v]; _is_number on each entry is the reference
+    ok = isinstance(v, list) and bool(v) and all(map(_is_number, v))
+    vals = _checked("floats", v)
     assert (vals is not None) == ok, v
     if ok:
-        assert vals.tolist() == list(map(float, v))
+        assert vals == list(map(float, v))
+    scalar = _checked("float", v)
+    assert (scalar is not None) == _is_number(v), v
+    if scalar is not None:
+        assert type(scalar) is float and scalar == float(v)
 
 
 # the benchmark's seed-0 commands that run in seconds in process, checked as
