@@ -19,10 +19,9 @@ from .errors import ConfigurationError, DomainError, SzegocapError
 from .families import (SymbolSpec, default_envelope, envelope_integral,
                        sample_symbol)
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_PADDING, DEFAULT_QUAD_DENSITY, Grid, make_grid
-from .operators import (assemble, hermitize, order_differences, period_samples,
+from .operators import (first_column, hermitize, order_differences, period_samples,
                         product_deviations, quantize, real_cast, skew_norm)
-from .spectral import (eigh_matrix, reflection_symmetric, schatten_norms, window_eigvalsh,
-                       window_trace)
+from .spectral import eigh_matrix, schatten_norms, window_eigvalsh, window_trace
 from .transforms import envelope_check, kernel_from_values
 from .waterfill import (build_f_eps, rate_log, sup_abs_second_derivative,
                         waterfill_discrete, waterfill_symbol)
@@ -314,15 +313,17 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
         op = quantize(spec, grid)
         rec.hermitian_defect = op.hermitian_defect
         m, b, _ = op.blocks.shape
-        # by Parseval over the block index, row u b + r has the squared norm
-        # (1/m) sum_k ||row r of A_k||^2 for every u
-        row_sq = (np.abs(op.blocks) ** 2).sum(axis=(0, 2)) / m
-        hs_full_sq = float(grid.window_counts(b) @ row_sq)
-        # a symmetric operator's J maps the right padding's columns onto the left's
-        left = float(np.sum(np.abs(assemble(op.blocks, w, slice(w.start))) ** 2))
-        right = left if w.start + w.stop == grid.n_x and reflection_symmetric(op.blocks) \
-            else float(np.sum(np.abs(assemble(op.blocks, w, slice(w.stop, None))) ** 2))
-        hs_cross_sq = left + right
+        # entry (u b + r, v b + s) is C_{(u - v) mod m}[r, s]; window row u b + r
+        # has u in [lo_r, hi_r), and pairs[d, r, s] counts the window pairs with
+        # (u - v) mod m = d: [lo_r, hi_r) meets [lo_s, hi_s) shifted by d or d - m
+        c2 = np.abs(first_column(op.blocks)) ** 2
+        lo, hi = (-((np.arange(b) - k) // b) for k in (w.start, w.stop))
+        d = np.arange(m)[:, None, None]
+        pairs = sum(np.maximum(np.minimum(hi[:, None], hi + k) - np.maximum(lo[:, None], lo + k),
+                               0) for k in (d, d - m))
+        n = (hi - lo)[:, None]      # the window rows of each residue r
+        # counts times |C_d|^2: nonnegative terms, exact counts
+        hs_full_sq, hs_cross_sq = (float(np.sum(x * c2)) for x in (n, n - pairs))
         if not all(map(math.isfinite, (hs_full_sq, hs_cross_sq, rec.alpha * psi_l1))):
             raise DomainError(f"a Hilbert-Schmidt value overflows at alpha = {rec.alpha}")
         rec.hs_cross_norm = hs_cross_sq
@@ -333,9 +334,10 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
         })
 
     report, ok = _sweep("check-hs", alphas, grid_kw, measure)
-    if len(ok) >= 3:
-        a = np.array([r.alpha for r in ok], dtype=float)
-        y = np.array([r.hs_cross_norm for r in ok])
+    pos = [r for r in ok if r.hs_cross_norm > 0]    # 0 when the window covers the grid
+    if len(pos) >= 3:
+        a = np.array([r.alpha for r in pos], dtype=float)
+        y = np.array([r.hs_cross_norm for r in pos])
         log_fit = fit_affine(np.log(a), y)
         lin_fit = fit_affine(a, y)
         report.fits["hs_cross_vs_log_alpha"] = log_fit
@@ -373,7 +375,7 @@ def run_trace_norm_scaling(spec: SymbolSpec, s: float, alphas,
     """Schatten norms of the quantization-order differences T and T'.
 
     T = L*_{conj tau} - L_tau and T' = L_sigma L*_{conj tau} - L_{sigma tau}
-    with tau = e^{i 2 pi s sigma}, assembled from their Fourier blocks
+    with tau = e^{i 2 pi s sigma}, built from their Fourier blocks
     (operators.order_differences) in the window columns.
     """
     s = float(s)

@@ -177,8 +177,9 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
     """Water-fill the continuous symbol: rate = integral of r(B sigma) over one
     period cell x in [0,1) and the truncated frequency axis.
 
-    The tensor quadrature takes `density` uniform (periodic) nodes in x and a
-    trapezoid of 2 round(omega_max density) + 1 nodes on [-omega_max, omega_max].
+    The tensor quadrature takes `density` uniform (periodic) nodes in x, one
+    for a time-invariant symbol, and a trapezoid of 2 round(omega_max density)
+    + 1 nodes on [-omega_max, omega_max].
     Every registered symbol is even in omega, so it is evaluated on the
     omega >= 0 nodes only, each omega > 0 node standing for its mirror too:
     the omega = 0 column and the end column then weigh half as much as the rest.
@@ -190,13 +191,9 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
                           f"more nodes, got {omega_max} * {density}")
     half_nodes = int(round(omega_max * density))
     omega = np.linspace(-omega_max, omega_max, 2 * half_nodes + 1)[half_nodes:]
-    if spec.time_invariant:
-        sigma = eval_symbol(spec, 0.0, omega)[None, :]
-        w_x = 1.0
-    else:
-        x = np.arange(density) / density
-        sigma = eval_symbol(spec, x[:, None], omega[None, :])
-        w_x = 1.0 / x.size
+    x = np.arange(1 if spec.time_invariant else density) / density
+    sigma = eval_symbol(spec, x[:, None], omega[None, :])
+    w_x = 1.0 / x.size
     # the families return fresh arrays, so 1/sigma can overwrite sigma
     sigma = np.require(sigma, dtype=float, requirements="CW")
     pos = sigma > 0.0

@@ -339,6 +339,21 @@ def test_check_hs_near_float_max_records_overflow_per_alpha(tmp_path, capsys):
     assert math.isfinite(report["summary"]["resid_ratio_linear_over_log"])
 
 
+def test_check_hs_at_padding_0_fits_no_zero_cross_term(tmp_path, capsys):
+    # the window is the whole circle, so every cross term is exactly 0; the
+    # fits of that constant wrote r2 NaN and the residual ratio Infinity
+    out_path = tmp_path / "r.json"
+    code, out, err = run_cli(["check-hs", "--family", "cosine_gauss", "--alphas", "4,8,16",
+                              "--padding-m", "0", "--output", str(out_path)], capsys)
+    assert code == 0, err
+    text = out_path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    report = json.loads(text)
+    assert [r["hs_cross_norm"] for r in report["records"]] == [0.0, 0.0, 0.0]
+    assert not any(key.startswith("hs_cross_vs_") for key in report["fits"])
+    assert "resid_ratio_linear_over_log" not in report["summary"]
+
+
 def test_waterfill_alpha_with_overflowing_weight_exits_5(capsys):
     # 1/alpha is inf; the level solver divided by zero
     code, out, err = run_cli(["waterfill", "--eigs", "1,2", "--alpha", "1e-310"], capsys)

@@ -193,17 +193,20 @@ def test_no_dense_allocation(command, dense_allocation_guard):
 
 
 def test_hs_boundary_check_memory():
-    # the two HS sums need only the window x (n_x - window) cross entries and
-    # the block norms; the complex window x n_x rows alone take 75.5 MB here
+    # the two HS sums read only the block column, so the peak does not grow
+    # with the padding: at padding 8 the complex window x n_x rows alone take
+    # 75.5 MB, and at padding 128 the limit is one float64 window x (one side's
+    # padding) array, which the assembled cross entries took twice over
     import tracemalloc
-    tracemalloc.start()
-    try:
-        rep = run_hs_boundary_check(COSINE, [128])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert "error" not in rep.records[0].extra
-    assert peak <= 25e6, f"traced peak {peak / 1e6:.1f} MB"
+    for padding, limit in ((8.0, 25e6), (128.0, 33.5e6)):
+        tracemalloc.start()
+        try:
+            rep = run_hs_boundary_check(COSINE, [128], {"padding": padding})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "error" not in rep.records[0].extra
+        assert peak <= limit, f"padding {padding}: traced peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("alpha", [32, 64])
@@ -225,17 +228,21 @@ def test_stability_check_dense_peak(alpha):
 
 
 def test_hs_full_sq_matches_dense_rows():
-    # Parseval over the block index against the assembled window rows; the
-    # cross term doubles the left padding's for all but square_smooth
+    # the counted sums of |C_d|^2 against the assembled window rows
     from szegocap.operators import assemble
+    two_tone = sc.make_symbol("two_tone")
     for spec, grid_kw in ((COSINE, {}), (COSINE, {"padding": 2.25}), (BAND, {}),
-                          (sc.make_symbol("square_smooth"), {})):
+                          (sc.make_symbol("square_smooth"), {}), (two_tone, {}),
+                          (COSINE, {"padding": 8.5}),     # m = 21, the window not block-aligned
+                          (two_tone, {"h_x": 1.0 / 15.0, "omega_max": 7.0}),     # b = 15
+                          (COSINE, {"padding": 0.0})):    # the window is the whole circle
         rec = run_hs_boundary_check(spec, [4], grid_kw).records[0]
         grid = sc.make_grid(4, **grid_kw)
         rows = assemble(sc.quantize(spec, grid).blocks, grid.window)
         assert rec.extra["hs_full_sq"] == pytest.approx(np.sum(np.abs(rows) ** 2), rel=1e-14)
         assert rec.hs_cross_norm == pytest.approx(
             np.sum(np.abs(np.delete(rows, grid.window, axis=1)) ** 2), rel=1e-14)
+    assert rec.hs_cross_norm == 0.0     # padding 0, the last case: every count cancels
 
 
 def test_hs_boundary_check_band_at_long_windows():

@@ -6,7 +6,7 @@ import pytest
 
 import szegocap as sc
 from szegocap.errors import AliasingError, DomainError
-from szegocap.families import default_envelope, sample_symbol
+from szegocap.families import default_envelope, eval_symbol, sample_symbol
 from szegocap.operators import (_block_size, _conj_t, assemble, order_differences,
                                 product_deviations, skew_norm)
 from szegocap.spectral import eigh_matrix, window_trace
@@ -402,3 +402,18 @@ def test_band_constant_defect_is_exactly_zero(alpha):
     op = sc.quantize(sc.make_symbol("band_constant", c=1.0, W=0.25), sc.make_grid(alpha))
     assert op.blocks.shape[1:] == (1, 1)
     assert op.hermitian_defect == 0.0
+
+
+@pytest.mark.parametrize("name, scale", [("cosine_gauss", "w"), ("two_tone", "gamma")])
+def test_a_period_is_a_dilation(name, scale):
+    # x' = x / p, omega' = p omega maps the quantization of sigma(x / p, omega)
+    # on make_grid(alpha) onto that of the family with its frequency scale
+    # times p on (alpha / p, h_x / p, omega_max p, padding / p), entry by entry
+    spec = sc.make_symbol(name)
+    grid = sc.make_grid(16)
+    values = eval_symbol(spec, grid.x_points()[:, None] / 2, grid.omega_points()[None, :])
+    dense = dense_quadrature(spec, grid, values)
+    dilated = sc.make_symbol(name, **{scale: 2 * spec.param_map[scale]})
+    dilated_grid = sc.make_grid(8, h_x=1.0 / 32.0, omega_max=16.0, padding=4.0)
+    blocks = sc.quantize(dilated, dilated_grid).blocks
+    assert np.abs(assemble(blocks) - dense).max() <= 1e-13 * np.abs(dense).max()
