@@ -1,9 +1,8 @@
 """Registered time-varying transfer function families sigma(x, omega).
 
 Each family provides vectorized evaluation and a kernel envelope psi with
-|k(x, x-z)|^2 <= psi(z) plus a tail constant c such that the tail integral of
-psi beyond s is bounded by c/s.  The kernels come from a grid whose frequency
-axis stops at omega_max, and their truncation ringing grows with
+|k(x, x-z)|^2 <= psi(z).  The kernels come from a grid whose frequency axis
+stops at omega_max, and their truncation ringing grows with
 |sigma(., omega_max)|, so default_envelope takes the grid's omega_max.
 
 Families:
@@ -15,13 +14,15 @@ Families:
                      omega; 1-periodic, C^1 in omega.
   two_tone           (0.6 + 0.4 cos 2 pi x) * squared-Lorentzian band; 1-periodic.
 
-Every registered family keeps two contracts, which the tests check over the
-whole registry.  It is even in omega, bit for bit: the symbol water-fill
+Every registered family keeps three contracts, which the tests check over
+the whole registry.  It is even in omega, bit for bit: the symbol water-fill
 evaluates the omega >= 0 half of the frequency axis, counting each omega > 0
 node twice, and default_envelope reads the band-edge ringing at +omega_max.
 It is time-invariant or has period 1 in x: the water-fill integrates over
 x in [0, 1), and the quantizer samples the round(1/h_x) rows of that cell.
-A family that breaks one (a Doppler family is not even) must add its choice.
+Its envelope psi peaks at z = 0: default_envelope finds an overflowing psi
+by its value there.  A family that breaks one (a Doppler family is not even)
+must add its choice.
 
 A SymbolSpec is validated once, when it is built; evaluation trusts it.
 """
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 _JUMP_TOL = 1e-9
-ENVELOPE_Z_MAX = 400.0      # reach of the envelope scans and integrals
+ENVELOPE_Z_MAX = 400.0      # reach of envelope_integral
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,6 @@ class SymbolSpec:
     @property
     def smoothness_order(self) -> int:
         return _family(self.family_name).smoothness_order
-
-
-@dataclass(frozen=True)
-class KernelEnvelope:
-    """Pointwise kernel bound psi and its tail constant."""
-    psi: Callable[[np.ndarray], np.ndarray]
-    tail_constant: float
 
 
 @dataclass(frozen=True)
@@ -291,18 +285,16 @@ def sample_symbol(spec: SymbolSpec, grid, rows=slice(None)) -> np.ndarray:
 
 # an overflow in here ends in the typed error below, so numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
-def default_envelope(spec: SymbolSpec, omega_max: float) -> KernelEnvelope:
-    """Family envelope describing the kernels the quantizer builds on a grid
-    with band edge omega_max.
+def default_envelope(spec: SymbolSpec, omega_max: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Family envelope psi, with |k(x, x-z)|^2 <= psi(z) for the kernels the
+    quantizer builds on a grid with band edge omega_max.
 
     The analytic magnitude bound is widened by the frequency-truncation
     ringing floor |sigma(., omega_max)| / (pi max(|z|, 1)) and a fixed
     float-roundoff floor, so symbols with slowly decaying frequency tails
     (or super-polynomially small true kernels) still satisfy the pointwise
-    bound on discretely assembled kernels.  tail_constant is max over a
-    log-spaced s scan of s * tail(s) for the widened psi; beyond
-    z_max = ENVELOPE_Z_MAX the tail continues psi(z_max) as (z_max / z)^2,
-    the slowest family decay.
+    bound on discretely assembled kernels.  Each term peaks at z = 0, so
+    psi is finite everywhere when psi(0) is; ConfigurationError otherwise.
     """
     fam, params = _family(spec.family_name), spec.param_map
     overflow = ConfigurationError(f"{spec.family_name} kernel envelope overflows at {params}")
@@ -320,21 +312,15 @@ def default_envelope(spec: SymbolSpec, omega_max: float) -> KernelEnvelope:
         floor = 2.0 * edge / (np.pi * np.maximum(np.abs(z), 1.0)) + roundoff
         return (np.sqrt(psi_true(z)) + floor) ** 2
 
-    z = np.linspace(0.0, ENVELOPE_Z_MAX, 200001)
-    vals = psi(z)
-    seg = 0.5 * (vals[1:] + vals[:-1]) * (z[1] - z[0])
-    tail_one_sided = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]) \
-        + ENVELOPE_Z_MAX * vals[-1]
-    s_grid = np.logspace(-2, np.log10(ENVELOPE_Z_MAX / 2.0), 600)
-    tails = 2.0 * np.interp(s_grid, z, tail_one_sided)
-    c = float(np.max(s_grid * tails)) * (1.0 + 1e-9)
-    if not math.isfinite(c):
+    if not math.isfinite(psi(np.array([0.0]))[0]):
         raise overflow
-    return KernelEnvelope(psi=psi, tail_constant=c)
+    return psi
 
 
-def envelope_integral(env: KernelEnvelope, lo: float = 0.0) -> float:
+# a finite psi near float max can sum to inf, which each caller tests
+@np.errstate(over="ignore")
+def envelope_integral(psi: Callable[[np.ndarray], np.ndarray], lo: float = 0.0) -> float:
     """Trapezoidal integral of psi over lo <= |z| <= lo + ENVELOPE_Z_MAX: the
     L1 norm of psi at lo = 0, its two-sided tail beyond lo otherwise."""
     z = np.linspace(lo, lo + ENVELOPE_Z_MAX, 400001)
-    return 2.0 * float(np.trapezoid(env.psi(z), z))
+    return 2.0 * float(np.trapezoid(psi(z), z))

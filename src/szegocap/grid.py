@@ -71,7 +71,7 @@ def make_grid(alpha: float,
     The frequency step is h_omega = 1/span.  Raises DomainError on a
     non-finite argument, or when the requested geometry cannot be realized
     exactly: span not a whole number of cells h_x, or omega_max not a whole
-    number of steps h_omega.
+    positive number of steps h_omega.
     """
     for name, v in (("alpha", alpha), ("h_x", h_x), ("omega_max", omega_max),
                     ("padding", padding)):
@@ -96,6 +96,9 @@ def make_grid(alpha: float,
     if abs(omega_max / h_omega - n_half) > 1e-9:
         raise DomainError(
             f"omega_max {omega_max} is not an integer multiple of h_omega {h_omega}")
+    if n_half == 0:     # one node, which both end halvings of the trapezoid hit
+        raise DomainError(f"omega_max {omega_max} must be at least h_omega {h_omega} "
+                          "for a frequency axis of 3 or more nodes")
     n_omega = 2 * n_half + 1
 
     return Grid(alpha=float(alpha), x_min=x_min, x_max=x_max, h_x=float(h_x),

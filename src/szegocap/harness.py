@@ -227,8 +227,8 @@ def run_stability_check(spec: SymbolSpec, f, alphas,
     """
     grid_kw = grid_kw or {}
     padding = grid_kw.get("padding", DEFAULT_PADDING)
-    env = default_envelope(spec, grid_kw.get("omega_max", DEFAULT_OMEGA_MAX))
-    tail = envelope_integral(env, lo=padding)
+    psi = default_envelope(spec, grid_kw.get("omega_max", DEFAULT_OMEGA_MAX))
+    tail = envelope_integral(psi, lo=padding)
     if tail > padding_tol:
         raise ConfigurationError(
             f"envelope tail beyond padding {padding} is {tail:.3e} > "
@@ -292,21 +292,20 @@ def run_hs_boundary_check(spec: SymbolSpec, alphas,
     """Hilbert-Schmidt growth: ||P L||_I2^2 <= alpha ||psi||_1 and the log-law
     fit of the cross term ||P L (1-P)||_I2^2."""
     grid_kw = grid_kw or {}
-    env = default_envelope(spec, grid_kw.get("omega_max", DEFAULT_OMEGA_MAX))
+    psi = default_envelope(spec, grid_kw.get("omega_max", DEFAULT_OMEGA_MAX))
     # checked on the first alpha whose grid builds; _sweep records the others' errors
     for alpha in _check_alphas(alphas):
         try:
             first_grid = make_grid(alpha, **grid_kw)
         except SzegocapError:
             continue
-        env_report = envelope_check(spec, env, first_grid)
-        if not env_report.passed:
-            failed = "pointwise" if not env_report.pointwise_ok else "tail"
+        margin = envelope_check(spec, psi, first_grid)
+        if margin < 1.0:
             raise ConfigurationError(
-                f"default envelope fails its own {failed} check (worst margin "
-                f"{env_report.worst_margin:.3e}); cannot certify HS bounds")
+                f"default envelope fails its own pointwise check (worst margin "
+                f"{margin:.3e}); cannot certify HS bounds")
         break
-    psi_l1 = envelope_integral(env)
+    psi_l1 = envelope_integral(psi)
 
     def measure(grid: Grid, rec: SweepRecord) -> None:
         w = grid.window

@@ -17,7 +17,7 @@ from szegocap.operators import (DiscreteOperator, _block_size, _fourier_blocks,
                                 skew_norm)
 
 # padding dominates this grid: n_x = 1664 points against a 128-point window,
-# so the limit (22 MB) sits above check-hs's fixed-size envelope scans
+# so the limit (22 MB) sits above check-hs's fixed-size envelope integral
 # (12.8 MB traced) and below any n_x x n_x array of complex numbers
 GUARD_ALPHA = 8
 GUARD_GRID_KW = {"padding": 48.0}

@@ -151,8 +151,8 @@ def test_criterion_04_stability_ratio_bounded(band_bundle):
 
 
 def test_criterion_05_hs_growth_law(band_bundle):
-    env = default_envelope(BAND, sc.make_grid(BAND_ALPHAS[0]).omega_max)
-    psi_l1 = envelope_integral(env)
+    psi = default_envelope(BAND, sc.make_grid(BAND_ALPHAS[0]).omega_max)
+    psi_l1 = envelope_integral(psi)
     alphas = np.array(BAND_ALPHAS, dtype=float)
     cross = np.array([band_bundle[a]["hs_cross_sq"] for a in BAND_ALPHAS])
     full = np.array([band_bundle[a]["hs_full_sq"] for a in BAND_ALPHAS])

@@ -339,6 +339,22 @@ def test_check_hs_near_float_max_records_overflow_per_alpha(tmp_path, capsys):
     assert math.isfinite(report["summary"]["resid_ratio_linear_over_log"])
 
 
+def test_check_hs_with_an_overflowing_psi_l1_records_it_per_alpha(tmp_path, capsys):
+    # psi(0) = 1e308 is finite, so the envelope builds, but its trapezoid
+    # overflows: ||psi||_1 is inf and no alpha can bound ||P L||_I2^2
+    out_path = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["check-hs", "--family", "band_constant", "--param", "c=5e153",
+                                  "--alphas", "2,4", "--output", str(out_path)], capsys)
+    assert code == 0, err
+    report = json.loads(out_path.read_text())
+    assert [r["extra"]["error"] for r in report["records"]] == [
+        f"DomainError: a Hilbert-Schmidt value overflows at alpha = {a}" for a in (2, 4)]
+    assert report["summary"]["psi_l1"] == math.inf
+    assert report["summary"]["hs_bound_ok_all"] is False
+
+
 def test_check_hs_at_padding_0_fits_no_zero_cross_term(tmp_path, capsys):
     # the window is the whole circle, so every cross term is exactly 0; the
     # fits of that constant wrote r2 NaN and the residual ratio Infinity
@@ -385,6 +401,20 @@ def test_check_hs_records_a_grid_error_at_any_alpha(tmp_path, capsys):
     assert records["3"][3]["extra"] == {
         "error": "DomainError: span 19.0 is not an integer multiple of h_x 0.3"}
     assert report["summary"]["hs_bound_ok_all"] is False
+
+
+@pytest.mark.parametrize("command", ["check-hs", "check-product"])
+def test_a_one_node_frequency_axis_is_recorded_per_alpha(tmp_path, capsys, command):
+    # omega_max below one step h_omega passed the lattice test with no step,
+    # and the commands fitted kernels from one frequency node
+    out_path = tmp_path / "r.json"
+    code, out, err = run_cli([command, "--family", "cosine_gauss", "--alphas", "2,4,8",
+                              "--omega-max", "1e-300", "--output", str(out_path)], capsys)
+    assert code == 0, err
+    report = json.loads(out_path.read_text())
+    assert [r["extra"]["error"].split(" must ")[0] for r in report["records"]] == \
+        ["DomainError: omega_max 1e-300"] * 3
+    assert report["fits"] == {}
 
 
 def test_check_stability_tail_follows_the_grids_band_edge(capsys):

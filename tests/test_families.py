@@ -153,11 +153,10 @@ def test_omega_square_integrability_under_doubling(name):
 @pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_default_envelope_tail_constant(name):
     spec = sc.make_symbol(name)
-    env = sc.default_envelope(spec, DEFAULT_OMEGA_MAX)
-    assert env.tail_constant > 0
+    psi = sc.default_envelope(spec, DEFAULT_OMEGA_MAX)
     z = np.linspace(0.0, 50.0, 2001)
-    assert np.all(env.psi(z) >= 0)
-    assert envelope_integral(env) > envelope_integral(env, lo=8.0) > 0
+    assert np.all(psi(z) >= 0)
+    assert envelope_integral(psi) > envelope_integral(psi, lo=8.0) > 0
 
 
 # parameter sets beyond each family's defaults; a family missing here is
@@ -182,6 +181,17 @@ def test_families_are_bitwise_even_in_omega(name):
         omega = np.concatenate([np.linspace(-8.0, 8.0, 4097), np.linspace(-0.3, 0.3, 3),
                                 rng.uniform(-12.0, 12.0, 512), [params.get("W", 0.5)]])[None, :]
         assert np.array_equal(sc.eval_symbol(spec, x, omega), sc.eval_symbol(spec, x, -omega)), params
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_family_envelopes_peak_at_zero(name):
+    # default_envelope tests psi(0) alone for overflow, so no psi(z) may exceed it
+    z = np.linspace(0.0, 400.0, 400001)
+    for params in [{}, *EVEN_PARAMS.get(name, [])]:
+        spec = sc.make_symbol(name, **params)
+        for omega_max in (DEFAULT_OMEGA_MAX, 2.0):
+            vals = sc.default_envelope(spec, omega_max)(z)
+            assert np.all(vals <= vals[0]), (params, omega_max)
 
 
 def test_metadata_flags():

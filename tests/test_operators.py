@@ -126,6 +126,14 @@ def test_off_lattice_band_edge_raises_domain_error():
         sc.make_grid(128, omega_max=4.0000000001)
 
 
+@pytest.mark.parametrize("omega_max", [1e-300, 1e-12])
+def test_band_edge_below_one_step_raises_domain_error(omega_max):
+    # omega_max / h_omega rounded to 0 within the lattice tolerance, so the
+    # frequency axis was the one node -omega_max, weighted h_omega / 4
+    with pytest.raises(DomainError, match="3 or more nodes"):
+        sc.make_grid(2, omega_max=omega_max)
+
+
 def test_hermitize_fixed_point_and_defect():
     grid = sc.make_grid(2)
     h = sc.hermitize(sc.quantize(sc.make_symbol("cosine_gauss"), grid))
@@ -138,10 +146,10 @@ def test_hermitize_fixed_point_and_defect():
     assert np.linalg.norm(0.5 * (herm - herm.conj().T), 2) <= 1e-13
 
 
-def envelope_sqrt_l1_norm(env, z_lo, z_hi, n=400001):
+def envelope_sqrt_l1_norm(psi, z_lo, z_hi, n=400001):
     """Trapezoidal L1 norm of sqrt(psi) over the truncated window [z_lo, z_hi]."""
     z = np.linspace(z_lo, z_hi, n)
-    return float(np.trapezoid(np.sqrt(env.psi(z)), z))
+    return float(np.trapezoid(np.sqrt(psi(z)), z))
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -150,8 +158,8 @@ def test_operator_norm_bounded_by_sqrt_envelope_l1(name):
     grid = sc.make_grid(4)
     op = sc.quantize(spec, grid)
     norm = np.linalg.norm(op.matrix, 2)
-    env = default_envelope(spec, grid.omega_max)
-    bound = envelope_sqrt_l1_norm(env, -grid.span, grid.span)
+    psi = default_envelope(spec, grid.omega_max)
+    bound = envelope_sqrt_l1_norm(psi, -grid.span, grid.span)
     assert norm <= bound + 1e-6
 
 
