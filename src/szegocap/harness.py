@@ -66,6 +66,20 @@ class SweepReport:
     summary: dict = field(default_factory=dict)
 
 
+# The 95% t quantile float(scipy.special.stdtrit(k, 0.975)) for k = 1..30
+# degrees of freedom, as scipy 1.17.1 gives it, so a fit over 3-32 points
+# imports nothing
+T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378)
+
+
 def fit_loglog(xs, ys) -> FitResult | None:
     """Least-squares fit of log(y) against log(x) with a 95% CI on the slope,
     over the points with x, y > 0; None below three such points."""
@@ -81,8 +95,10 @@ def fit_affine(xs, ys) -> FitResult:
     """Least-squares y = a + b x, reported with the residual RMS.
 
     The line and r take linregress's arithmetic and the t quantile the
-    stdtrit call behind t.ppf, so the fits keep their bits; stdtrit is imported
-    here, on the first fit, so the CLI starts without it.  The fit runs on ys
+    stdtrit call behind t.ppf, so the fits keep their bits.  Over 3-32 points
+    the quantile is read from T975, stdtrit's own values, which
+    tests/test_harness.py::test_t975_table_is_stdtrit_bit_for_bit pins; only a
+    fit over more points imports scipy.special, here.  The fit runs on ys
     divided by the power of two at or below their largest magnitude, which is
     exact, so values near the top of the float range do not overflow in its
     sums of squares."""
@@ -98,8 +114,11 @@ def fit_affine(xs, ys) -> FitResult:
     n = xs.size
     tcrit, stderr = math.inf, 0.0
     if n > 2:
-        from scipy.special import stdtrit
-        tcrit = float(stdtrit(n - 2, 0.975))
+        if n - 2 <= len(T975):
+            tcrit = T975[n - 3]
+        else:
+            from scipy.special import stdtrit
+            tcrit = float(stdtrit(n - 2, 0.975))
         # the slope's standard error from the residuals: linregress takes it from
         # 1 - r^2, which on an exact law reads 0 or at least about sqrt(eps)
         stderr = math.sqrt(np.sum(resid ** 2) / (n - 2) / np.sum((xs - xs.mean()) ** 2))

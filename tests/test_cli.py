@@ -873,21 +873,23 @@ def _scipy(names):
 @pytest.mark.parametrize("args", [
     ["-c", "import szegocap.cli"],
     ["-m", "szegocap.cli", "capacity", "--family", "cosine_gauss"],
-    ["-m", "szegocap.cli", "waterfill", "--eigs", "3,2,1", "--power-S", "2"]])
-def test_cli_import_and_cheap_commands_load_no_scipy(args):
-    code, names = _imported_modules(args)
+    ["-m", "szegocap.cli", "waterfill", "--eigs", "3,2,1", "--power-S", "2"],
+    # the fitting commands, each on a config whose report holds a fit: the t
+    # quantile of a fit over 3-32 points comes from harness.T975
+    ["-m", "szegocap.cli", "sweep", "--family", "cosine_gauss", "--alphas", "2,3,4"],
+    ["-m", "szegocap.cli", "check-stability", "--family", "two_tone", "--param", "c=4",
+     "--padding-tol", "1e-6", "--alphas", "2,3,4"],
+    ["-m", "szegocap.cli", "check-hs", "--family", "cosine_gauss", "--alphas", "2,3,4"],
+    ["-m", "szegocap.cli", "check-product", "--family", "cosine_gauss", "--alphas", "2,3,4"],
+    ["-m", "szegocap.cli", "check-tracenorm", "--family", "cosine_gauss", "--alphas", "2,3,4"]])
+def test_cli_import_and_cheap_commands_load_no_scipy(args, tmp_path):
+    out_path = tmp_path / "r.json"
+    fitting = "--alphas" in args
+    code, names = _imported_modules([*args, "--output", str(out_path)] if fitting else args)
     assert code == 0 and "szegocap.harness" in names
     assert _scipy(names) == []
-
-
-def test_sweep_fits_without_scipy_stats(tmp_path):
-    out_path = tmp_path / "r.json"
-    code, names = _imported_modules(["-m", "szegocap.cli", "sweep", "--family", "cosine_gauss",
-                                     "--alphas", "2,3,4", "--output", str(out_path)])
-    assert code == 0
-    assert json.loads(out_path.read_text())["fits"]
-    assert "scipy.special" in names
-    assert [n for n in _scipy(names) if n.startswith("scipy.stats")] == []
+    if fitting:
+        assert json.loads(out_path.read_text())["fits"]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

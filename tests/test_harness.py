@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import szegocap as sc
 from szegocap.errors import ConfigurationError, DomainError
 from szegocap.families import sample_symbol
-from szegocap.harness import (fit_affine, fit_loglog, run_convergence_sweep,
+from szegocap.harness import (T975, fit_affine, fit_loglog, run_convergence_sweep,
                               run_hs_boundary_check, run_stability_check,
                               run_symbol_calculus_check, run_trace_norm_scaling)
 from szegocap.reports import report_csv
@@ -332,7 +332,15 @@ def _same_bits(fit, expected):
         assert got == want or (math.isnan(got) and math.isnan(want)), (name, got, want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 10])
+def test_t975_table_is_stdtrit_bit_for_bit():
+    assert len(T975) == 30
+    for k, tcrit in enumerate(T975, start=1):
+        assert tcrit == float(special.stdtrit(k, 0.975)), k
+
+
+# n = 2 stays on the tcrit = inf path (T975[n - 3] would read the last entry);
+# n = 32 reads the last tabulated dof and n = 33 the first imported one
+@pytest.mark.parametrize("n", [2, 3, 10, 32, 33])
 @pytest.mark.parametrize("kind", ["random", "constant", "near_max"])
 def test_fit_affine_matches_scipy_bit_for_bit(n, kind):
     rng = np.random.default_rng(n)
