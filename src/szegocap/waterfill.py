@@ -12,9 +12,9 @@ r(B sigma) resp. B p(B sigma) over one period cell.
 
 from __future__ import annotations
 
-import bisect
-import itertools
+import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NoCapacityError
-from .families import SymbolSpec, eval_symbol
+from .families import SymbolSpec, _family, eval_symbol
 from .grid import DEFAULT_OMEGA_MAX, DEFAULT_QUAD_DENSITY
 
 
@@ -80,64 +80,73 @@ class WaterfillSolution:
     active_count: int
 
 
-@np.errstate(over="ignore", invalid="ignore")    # an overflow ends in the DomainError below
-def _solve_level(inv: np.ndarray, weight: float, S: float,
-                 half: np.ndarray | None = None) -> WaterfillSolution:
-    """Shared solver over the reciprocals inv = 1/v of the positive values.
+class _LevelTable:
+    """The reciprocals inv = 1/v of a spectrum or quadrature, sorted once in
+    place, so that the water level of each budget is a search.
 
-    Every entry weighs `weight`, except the entries whose 1/v is also listed in
-    `half` (the trapezoid's end nodes), which weigh weight/2.  inv is a
-    contiguous 1-D array that the solver reorders in place.
+    inv ascends, 1/v = inf (v <= 0) last.  Each entry weighs `weight`, those
+    also in `ends` (the trapezoid's end nodes) weight/2.  Over the finite
+    entries, heads[c] = sum(inv[:c CHUNK]) and head_power[c] is the power at
+    the level inv[c CHUNK].  The arrays are read-only."""
+    CHUNK = 256
 
-    power(B) = sum_{inv < B} w (B - inv),  rate(B) = sum_{inv < B} w log(B/inv).
-    B solves power(B) = S in closed form on the active set, which a sort-free
-    breakpoint search finds (Michelot 1986; Kiwiel 2008).  inv[:a] is known
-    active and inv[b:] inactive; each round partitions the candidates
-    inv[a:b] in place at their median p: if power(p) < S, p and every entry
-    left of it are active, else p and every entry right of it are inactive.
-    Each round halves the candidates, so a solve is O(n).  Entries with
-    1/v = inf never activate.  DomainError when B, the rate or the power
-    overflows.
-    """
-    lo = float(inv.min())                  # B >= 1/v_max
-    if S == 0.0:
-        return _finite(WaterfillSolution(B=lo, capacity_rate=0.0,
-                                         power_achieved=0.0, active_count=0))
-    # the half-weight entries sorted, as lists that the pivot test bisects
-    half = np.empty(0) if half is None else np.sort(half)
-    ends = half.tolist()
-    ends_sum = [0.0, *itertools.accumulate(ends)]  # ends_sum[j] = sum(ends[:j])
-    a, b = 0, inv.size
-    known = 0.0                            # sum of inv[:a]
-    p_low = -math.inf                      # inv[:a] holds exactly the entries <= p_low
-    while a < b:
-        cand, m = inv[a:b], (b - a) // 2
-        cand.partition(m)
-        p = float(cand[m])
-        below = known + float(cand[:m].sum())
-        j = bisect.bisect_left(ends, p)    # end nodes with inv < p
-        power = weight * ((a + m) * p - below) - 0.5 * weight * (j * p - ends_sum[j])
-        if p <= p_low or power < S:        # B > p; p == p_low keeps ties together
-            a, known, p_low = a + m + 1, below + p, p
-        else:                              # B <= p
-            b = a + m
-    act, h = inv[:a], half[:bisect.bisect_right(ends, p_low)]
-    total = weight * (a - 0.5 * h.size)
-    # the prefix is empty only when power(lo) >= S rounds with ties at p = lo
-    B = max(lo, (S + weight * (known - 0.5 * float(h.sum()))) / total) if a else lo
-    # one buffer over the prefix: first the gaps max(B - 1/v, 0), whose sum
-    # does not cancel as B a - sum 1/v does when B is near every 1/v ...
-    buf = np.subtract(B, act)
-    power = weight * (float(np.maximum(buf, 0.0, out=buf).sum())
-                      - 0.5 * float(np.maximum(B - h, 0.0).sum()))
-    np.divide(B, act, out=buf)             # ... then log(B/inv), zero where B/inv <= 1
-    np.log(np.maximum(buf, 1.0, out=buf), out=buf)
-    return _finite(WaterfillSolution(
-        B=float(B),
-        capacity_rate=weight * (float(buf.sum())
-                                - 0.5 * float(np.log(np.maximum(B / h, 1.0)).sum())),
-        power_achieved=power,
-        active_count=int(np.count_nonzero(act < B))))
+    @np.errstate(over="ignore", invalid="ignore")    # an overflowing power never activates
+    def __init__(self, inv: np.ndarray, weight: float, ends: np.ndarray = np.empty(0)):
+        inv.sort()
+        self.inv, self.weight, self.ends = inv, weight, np.sort(ends)
+        self.ends_sum = np.concatenate(([0.0], np.cumsum(self.ends)))  # sums of ends[:j]
+        self.n_finite = int(inv.searchsorted(np.inf))
+        k = np.arange(0, self.n_finite, self.CHUNK)
+        sums = inv[:max(k.size - 1, 0) * self.CHUNK].reshape(-1, self.CHUNK).sum(axis=1)
+        self.heads = np.concatenate(([0.0], np.cumsum(sums)))[:k.size]
+        self.head_power = self.power(k, inv[k], self.heads)
+        for a in (inv, self.ends, self.ends_sum, self.heads, self.head_power):
+            a.flags.writeable = False
+
+    def power(self, k, p, below):
+        """w (k p - below) - (w/2) sum_{ends < p} (p - end): the power at the
+        level p = inv[k], where `below` = sum(inv[:k])."""
+        j = self.ends.searchsorted(p)
+        return self.weight * (k * p - below - 0.5 * (j * p - self.ends_sum[j]))
+
+    @np.errstate(over="ignore", invalid="ignore")    # an overflow ends in the DomainError below
+    def solve(self, S: float) -> WaterfillSolution:
+        """The water level of the budget S.
+
+        power(B) = sum_{inv < B} w (B - inv),  rate(B) = sum_{inv < B} w log(B/inv),
+        with w/2 on the end nodes.  The active prefix inv[:a] ends at the first
+        entry whose power reaches S: a binary search on the chunk heads'
+        powers finds its chunk, one vectorised pass the entry, and a tie
+        group stays active or inactive as a whole.  B then solves power(B) = S
+        in closed form on the prefix.  DomainError when B, the rate or the
+        power overflows.
+        """
+        inv, w, ends = self.inv, self.weight, self.ends
+        lo, a = float(inv[0]), 0           # B >= 1/v_max
+        c = int(self.head_power.searchsorted(S))   # chunk heads whose power is below S
+        if c:                              # the prefix ends in chunk c - 1
+            s = (c - 1) * self.CHUNK
+            seg = inv[s:min(s + self.CHUNK, self.n_finite)]
+            below = np.cumsum(seg) - seg + self.heads[c - 1]    # sum(inv[:k]), k in the chunk
+            a = s + int(self.power(np.arange(s, s + seg.size), seg, below).searchsorted(S))
+            a = int(inv.searchsorted(inv[a])) if a < inv.size else a  # ties together
+        act, h = inv[:a], ends[:ends.searchsorted(inv[a - 1] if a else -np.inf, "right")]
+        total = w * (a - 0.5 * h.size)
+        # the prefix is empty at S = 0, or when power(lo) >= S rounds with ties at lo
+        B = max(lo, (S + w * (float(act.sum()) - 0.5 * float(h.sum()))) / total) if a else lo
+        # one buffer over the prefix: first the gaps max(B - 1/v, 0), whose sum
+        # does not cancel as B a - sum 1/v does when B is near every 1/v ...
+        buf = np.subtract(B, act)
+        power = w * (float(np.maximum(buf, 0.0, out=buf).sum())
+                     - 0.5 * float(np.maximum(B - h, 0.0).sum()))
+        np.divide(B, act, out=buf)         # ... then log(B/inv), zero where B/inv <= 1
+        np.log(np.maximum(buf, 1.0, out=buf), out=buf)
+        return _finite(WaterfillSolution(
+            B=float(B),
+            capacity_rate=w * (float(buf.sum())
+                               - 0.5 * float(np.log(np.maximum(B / h, 1.0)).sum())),
+            power_achieved=power,
+            active_count=int(act.searchsorted(B))))
 
 
 def _finite(sol: WaterfillSolution) -> WaterfillSolution:
@@ -150,13 +159,13 @@ def _finite(sol: WaterfillSolution) -> WaterfillSolution:
 def waterfill_discrete(spectrum, S: float, alpha: float) -> WaterfillSolution:
     """Water-fill a discrete spectrum against the per-unit-time budget S.
 
-    The eigenvalues may come in any order, each with weight 1/alpha.
-    Nonpositive eigenvalues never activate and are ignored; a spectrum with no
-    positive eigenvalue raises NoCapacityError, and a non-finite eigenvalue
-    DomainError.
+    The eigenvalues may come in any order, each with weight 1/alpha; the
+    solution does not depend on the order.  Nonpositive eigenvalues never
+    activate and are ignored; a spectrum with no positive eigenvalue raises
+    NoCapacityError, and a non-finite eigenvalue or budget DomainError.
     """
-    if S < 0:
-        raise DomainError(f"power budget S must be nonnegative, got {S}")
+    if not 0.0 <= S < math.inf:
+        raise DomainError(f"power budget S must be finite and nonnegative, got {S}")
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if not np.isfinite(1.0 / alpha):
@@ -169,7 +178,7 @@ def waterfill_discrete(spectrum, S: float, alpha: float) -> WaterfillSolution:
         raise NoCapacityError("no positive eigenvalues to allocate power over")
     with np.errstate(over="ignore"):       # 1/v = inf never activates
         np.divide(1.0, inv, out=inv)
-    return _solve_level(inv, 1.0 / alpha, float(S))
+    return _LevelTable(inv, 1.0 / alpha).solve(float(S))
 
 
 def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DENSITY,
@@ -183,32 +192,47 @@ def waterfill_symbol(spec: SymbolSpec, S: float, density: int = DEFAULT_QUAD_DEN
     Every registered symbol is even in omega, so it is evaluated on the
     omega >= 0 nodes only, each omega > 0 node standing for its mirror too:
     the omega = 0 column and the end column then weigh half as much as the rest.
+    The last few symbols' level tables are cached, so a further budget is a search.
+    DomainError for a negative or non-finite S or omega_max, or a density that is
+    not a positive integer.
     """
-    if S < 0:
-        raise DomainError(f"power budget S must be nonnegative, got {S}")
-    if not omega_max * density > 0.5:     # round(0.5) = 0 would leave one node
-        raise DomainError(f"omega_max * density must exceed 0.5 for a trapezoid of 3 or "
-                          f"more nodes, got {omega_max} * {density}")
+    if not 0.0 <= S < math.inf:
+        raise DomainError(f"power budget S must be finite and nonnegative, got {S}")
+    if not isinstance(density, numbers.Integral) or isinstance(density, bool) or density < 1:
+        raise DomainError(f"quadrature density must be a positive integer, got {density!r}")
+    if not (math.isfinite(omega_max) and omega_max * density > 0.5):  # round(0.5) = 0
+        raise DomainError(f"omega_max * density must exceed 0.5 for a trapezoid of 3 or more "
+                          f"nodes, and omega_max be finite, got {omega_max} * {density}")
+    table, zero = _symbol_table(spec, _family(spec.family_name).sigma, int(density), omega_max)
+    sol = table.solve(float(S))
+    # every active node but those at omega = 0 has an active mirror
+    return replace(sol, active_count=2 * sol.active_count - int(np.searchsorted(zero, sol.B)))
+
+
+@functools.lru_cache(maxsize=4)
+def _symbol_table(spec: SymbolSpec, sigma_fn, density: int,
+                  omega_max: float) -> tuple[_LevelTable, np.ndarray]:
+    """The level table of waterfill_symbol's folded quadrature and the sorted
+    1/v of its omega = 0 column.  sigma_fn, the registry's sigma, only keys
+    the cache: a replaced registry entry gets a table of its own."""
     half_nodes = int(round(omega_max * density))
     omega = np.linspace(-omega_max, omega_max, 2 * half_nodes + 1)[half_nodes:]
     x = np.arange(1 if spec.time_invariant else density) / density
-    sigma = eval_symbol(spec, x[:, None], omega[None, :])
     w_x = 1.0 / x.size
     # the families return fresh arrays, so 1/sigma can overwrite sigma
-    sigma = np.require(sigma, dtype=float, requirements="CW")
+    sigma = np.require(eval_symbol(spec, x[:, None], omega[None, :]),
+                       dtype=float, requirements="CW")
     pos = sigma > 0.0
     if not pos.any():
         raise NoCapacityError("symbol is nonpositive everywhere on the quadrature grid")
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.divide(1.0, sigma, out=sigma)
     np.copyto(inv, np.inf, where=~pos)     # 1/v = inf never activates
-    # the two half-weight columns, copied before the solve reorders inv
+    # the two half-weight columns, copied before the sort reorders inv
     ends = inv[:, [0, -1]]
-    sol = _solve_level(inv.ravel(), 2.0 * w_x * (omega_max / half_nodes), float(S),
-                       ends.ravel())
-    # every active node but those at omega = 0 has an active mirror
-    return replace(
-        sol, active_count=2 * sol.active_count - int(np.count_nonzero(ends[:, 0] < sol.B)))
+    zero = np.sort(ends[:, 0])
+    zero.flags.writeable = False
+    return _LevelTable(inv.ravel(), 2.0 * w_x * (omega_max / half_nodes), ends.ravel()), zero
 
 
 def sup_abs_second_derivative(f, lo: float, hi: float) -> float:

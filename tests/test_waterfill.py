@@ -1,4 +1,8 @@
+import contextlib
+import dataclasses
+import io
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -359,6 +363,7 @@ def evaluated_omega(spec, density, omega_max):
         seen.append(np.ravel(omega))
         return sc.eval_symbol(spec, x, omega)
 
+    waterfill._symbol_table.cache_clear()     # a cached table evaluates nothing
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(waterfill, "eval_symbol", spy)
         sc.waterfill_symbol(spec, 1.0, density=density, omega_max=omega_max)
@@ -510,8 +515,10 @@ def test_level_where_budget_is_below_rounding_of_level():
 
 def test_symbol_waterfill_memory():
     # the default quadrature has 256 x 4,097 nodes; folded in omega, 256 x 2,049
-    # nodes, 4.2 MB per float array, and the solve may hold about three of them
+    # nodes, 4.2 MB per float array, and the solve may hold about three of them;
+    # measured on a cold call, which builds the level table
     spec = sc.make_symbol("cosine_gauss")
+    waterfill._symbol_table.cache_clear()
     tracemalloc.start()
     try:
         sc.waterfill_symbol(spec, 1.0)
@@ -519,6 +526,150 @@ def test_symbol_waterfill_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 13e6, f"traced peak {peak / 1e6:.1f} MB > 13 MB"
+
+
+# --- the level table: one sorted quadrature per symbol, cached --------------
+
+def table_misses():
+    return waterfill._symbol_table.cache_info().misses
+
+
+@pytest.mark.parametrize("call, args, kwargs", [
+    ("discrete", ([1.0, 2.0], math.nan, 1.0), {}),
+    ("discrete", ([1.0, 2.0], math.inf, 1.0), {}),
+    ("symbol", (math.nan,), {}),
+    ("symbol", (math.inf,), {}),
+    ("symbol", (-1.0,), {}),
+    ("symbol", (1.0,), {"omega_max": math.inf}),
+    ("symbol", (1.0,), {"omega_max": math.nan}),
+    ("symbol", (1.0,), {"density": 256.5}),
+    ("symbol", (1.0,), {"density": True}),
+    ("symbol", (1.0,), {"density": 0}),
+], ids=["discrete_nan_S", "discrete_inf_S", "nan_S", "inf_S", "negative_S", "inf_omega_max",
+        "nan_omega_max", "fractional_density", "bool_density", "zero_density"])
+def test_out_of_domain_input_raises_before_any_work(call, args, kwargs):
+    # unchecked, a NaN budget fails every comparison and gives a zero-capacity
+    # solution, omega_max = inf an untyped OverflowError, and density 256.5 or
+    # True a malformed quadrature; a NaN would also defeat the table cache
+    fn = {"discrete": sc.waterfill_discrete,
+          "symbol": lambda *a, **kw: sc.waterfill_symbol(sc.make_symbol("cosine_gauss"), *a, **kw)}
+    info = waterfill._symbol_table.cache_info()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            fn[call](*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e3, f"traced peak {peak / 1e3:.0f} kB before the DomainError"
+    assert waterfill._symbol_table.cache_info() == info       # no lookup either
+
+
+def test_cold_and_warm_calls_agree_and_warm_calls_evaluate_nothing():
+    spec = sc.make_symbol("two_tone", c=1.1)
+    calls = []
+
+    def counting(spec, x, omega):
+        calls.append(1)
+        return sc.eval_symbol(spec, x, omega)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(waterfill, "eval_symbol", counting)
+        for S in (1e-3, 0.4, 1.0, 50.0):
+            waterfill._symbol_table.cache_clear()
+            cold = sc.waterfill_symbol(spec, S)
+            assert [sc.waterfill_symbol(spec, S) for _ in range(2)] == [cold, cold]
+            assert len(calls) == 1
+            calls.clear()
+
+
+def test_capacity_reports_do_not_depend_on_command_order(perfbench_workloads, tmp_path):
+    # the seed-0 capacity commands of the benchmark, in workload order and
+    # reversed, each run from an empty table cache, give the same bytes
+    wl = perfbench_workloads[0]
+    cmds = [c for c in wl.build("capacity-curve", 0, str(tmp_path))
+            if c.label.startswith("capacity-")]
+
+    def reports(order):
+        waterfill._symbol_table.cache_clear()
+        for cmd in order:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(list(cmd.argv)) == cli.EXIT_OK, cmd.label
+        return {c.label: pathlib.Path(c.report_path).read_bytes() for c in cmds}
+
+    assert reports(cmds) == reports(cmds[::-1])
+
+
+def test_discrete_solution_does_not_depend_on_order():
+    # the solve sorts the reciprocals, so no permutation can move a bit;
+    # the positive values span a dozen chunks of the level table, with ties
+    rng = np.random.default_rng(11)
+    lam = np.concatenate([rng.uniform(-0.1, 1.0, 3000), np.repeat([0.5, 0.25], 40)])
+    for S in (1e-6, 0.3, 1.0, 30.0):
+        ref = sc.waterfill_discrete(lam, S, 64.0)
+        for _ in range(3):
+            assert sc.waterfill_discrete(rng.permutation(lam), S, 64.0) == ref
+
+
+def test_table_cache_key_separates_its_inputs(monkeypatch):
+    spec = sc.make_symbol("cosine_gauss", w=1.0)
+    waterfill._symbol_table.cache_clear()
+    base = sc.waterfill_symbol(spec, 1.0, density=64)
+    assert sc.waterfill_symbol(spec, 2.0, density=64) != base and table_misses() == 1
+    fam = _REGISTRY["cosine_gauss"]
+    doubled = dataclasses.replace(fam, sigma=lambda x, omega, p: 2.0 * fam.sigma(x, omega, p))
+    variants = [
+        lambda: sc.waterfill_symbol(spec, 1.0, density=32),
+        lambda: sc.waterfill_symbol(spec, 1.0, density=64, omega_max=1.0),
+        lambda: sc.waterfill_symbol(sc.make_symbol("cosine_gauss", w=1.2), 1.0, density=64),
+        lambda: monkeypatch.setitem(_REGISTRY, "cosine_gauss", doubled)
+        or sc.waterfill_symbol(spec, 1.0, density=64),
+    ]
+    for k, variant in enumerate(variants, start=2):
+        assert variant() != base
+        assert table_misses() == k
+
+
+def test_level_table_is_read_only():
+    spec = sc.make_symbol("square_smooth")
+    sc.waterfill_symbol(spec, 1.0, density=64)
+    table, zero = waterfill._symbol_table(spec, _REGISTRY["square_smooth"].sigma, 64, 8.0)
+    for arr in (table.inv, table.ends, table.ends_sum, table.heads, table.head_power, zero):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_table_cache_retains_at_most_maxsize_tables():
+    maxsize = waterfill._symbol_table.cache_parameters()["maxsize"]
+    specs = [sc.make_symbol("cosine_gauss", w=1.0 + 0.1 * k) for k in range(maxsize + 1)]
+    waterfill._symbol_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for spec in specs:
+            sc.waterfill_symbol(spec, 1.0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    table, zero = waterfill._symbol_table(specs[-1], _REGISTRY["cosine_gauss"].sigma, 256, 8.0)
+    one = zero.nbytes + sum(a.nbytes for a in (table.inv, table.ends, table.ends_sum,
+                                              table.heads, table.head_power))
+    assert waterfill._symbol_table.cache_info().currsize == maxsize
+    assert retained <= maxsize * one + 256e3, f"{retained / one:.2f} tables retained"
+
+
+@pytest.mark.parametrize("family", ["cosine_gauss", "two_tone"])
+def test_level_is_the_inverse_slope_of_the_capacity(family):
+    # dC/dS = 1/B holds exactly for the quadrature's rate (ROADMAP item 16(c));
+    # central differences at relative step 1e-4 resolve it to about 1e-8
+    spec = sc.make_symbol(family)
+    waterfill._symbol_table.cache_clear()
+    for S in np.geomspace(1e-3, 1e2, 32):
+        h = 1e-4 * S
+        up, down = (sc.waterfill_symbol(spec, S + d).capacity_rate for d in (h, -h))
+        B = sc.waterfill_symbol(spec, S).B
+        assert B * (up - down) / (2.0 * h) == pytest.approx(1.0, abs=1e-6), S
+    assert table_misses() == 1
 
 
 tied_spectra = st.builds(
